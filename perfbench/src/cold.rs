@@ -1,16 +1,16 @@
 //! `compile-cold`: the whole flow at mid size.
 //!
-//! One caller compiles a seeded stream of distinct `stress_dag`-shaped
-//! designs of 150–400 ops, handed over as textfmt text, through
+//! One caller compiles a seeded corpus of distinct `stress_dag`-shaped
+//! designs of 150–320 ops, handed over as textfmt text, through
 //! `run_flow_dfg` with `FlowConfig::default()`; every third design
 //! carries a register budget so the spill path runs. Each compiled
 //! design is then resubmitted with 1–3 appended ops through
 //! `eco_flow`, the incremental path the paper argues for. The run
-//! compiles designs in order until the window closes; a stream that
-//! runs out starts over.
+//! makes whole passes over the corpus and counts each design's median
+//! pass.
 
 use crate::layers::{self, set};
-use crate::measure::{self, ms, timed, Rng, Tally};
+use crate::measure::{self, timed, HostSpeed, ItemTimes, Rng, Tally};
 use crate::trace::Tracer;
 use crate::{gen, setup_repeated, Ctx, Outcome};
 use hls_flow::{
@@ -22,15 +22,14 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use threaded_sched::{refine, ThreadedScheduler};
 
-const DESIGNS: usize = 256;
+const DESIGNS: usize = 192;
 const MIN_OPS: usize = 150;
-/// Flow cost grows about as ops^4.6 on this shape; above ~400 ops a
-/// handful of designs would set every number, and their structure
-/// swings each by ±35%.
-const MAX_OPS: usize = 400;
-/// `schedule_states` sums the first this-many designs, which every run
-/// compiles (the window is stretched if it has to be).
-const STATES_PREFIX: usize = 64;
+/// Flow cost grows about as ops^4.6 on this shape, so the largest
+/// designs set the throughput and the p95, and their structure swings
+/// each by ±35%. Up to 280 ops, a pass of 192 designs is short enough
+/// for several passes in a run, and ten designs lie above the p95 to
+/// average their structure out.
+const MAX_OPS: usize = 280;
 /// Register budget of every third design.
 const REGISTER_BUDGET: usize = 24;
 
@@ -98,18 +97,16 @@ fn eco(out: &FlowOutcome, d: &Design) -> Result<FlowOutcome, String> {
 /// Per-design results of the first compile, to hold repeats to.
 type Expected = Vec<Option<(u64, u64)>>;
 
-/// Checks design `seq` of the stream, which wraps around the corpus.
-/// The states of the first [`STATES_PREFIX`] designs go to
-/// `schedule_states`.
+/// Checks design `i`'s answers and holds its states to its first
+/// compile, whose states go to `schedule_states`.
 fn record(
     tally: &mut Tally,
     expected: &mut Expected,
-    seq: usize,
+    i: usize,
     d: &Design,
     cold: Result<FlowOutcome, String>,
     eco_out: Option<Result<FlowOutcome, String>>,
 ) -> Option<(FlowOutcome, FlowOutcome)> {
-    let i = seq % expected.len();
     tally.attempted += 2;
     let outs = cold.and_then(|c| {
         check(&c, &d.cfg, &d.inputs, &d.reference)?;
@@ -124,7 +121,11 @@ fn record(
         Ok((c, e)) => {
             let states = (c.report.final_states, e.report.final_states);
             match expected[i] {
-                None => expected[i] = Some(states),
+                None => {
+                    expected[i] = Some(states);
+                    tally.states += states.0 + states.1;
+                    tally.ii += states.0 + states.1;
+                }
                 Some(first) if first != states => {
                     tally.fail(format!(
                         "design {i}: states {states:?} differ from first pass {first:?}"
@@ -132,10 +133,6 @@ fn record(
                     return None;
                 }
                 Some(_) => {}
-            }
-            if seq < STATES_PREFIX {
-                tally.states += states.0 + states.1;
-                tally.ii += states.0 + states.1;
             }
             Some((c, e))
         }
@@ -153,39 +150,42 @@ pub fn run(ctx: &Ctx) -> Outcome {
     }
     let mut tally = Tally::default();
     let mut expected: Expected = vec![None; designs.len()];
+    let mut times = ItemTimes::new(designs.len());
     measure::reset_peak();
     let start = Instant::now();
-    let mut seq = 0;
-    while seq < STATES_PREFIX || ctx.in_window(start) {
-        let d = &designs[seq % designs.len()];
-        let (cold, t_cold) = timed(|| run_flow_dfg(&d.text, &d.cfg).map_err(|e| e.to_string()));
-        let (eco_out, t_eco) = match &cold {
-            Ok(c) => {
-                let (e, t) = timed(|| eco(c, d));
-                (Some(e), t)
+    let mut host = HostSpeed::start();
+    let mut passes = 0;
+    while ctx.another_pass(start, passes) {
+        passes += 1;
+        for (i, d) in designs.iter().enumerate() {
+            host.tick();
+            let (cold, t_cold) =
+                timed(|| run_flow_dfg(&d.text, &d.cfg).map_err(|e| e.to_string()));
+            let (eco_out, t_eco) = match &cold {
+                Ok(c) => {
+                    let (e, t) = timed(|| eco(c, d));
+                    (Some(e), t)
+                }
+                Err(_) => (None, Duration::ZERO),
+            };
+            if record(&mut tally, &mut expected, i, d, cold, eco_out).is_some() {
+                let ops = (d.graph.len() + d.eco.len()) as u64;
+                times.record(i, t_cold, t_eco, ops);
             }
-            Err(_) => (None, Duration::ZERO),
-        };
-        tally.busy += t_cold + t_eco;
-        tally.latency_ms.push(ms(t_cold));
-        if eco_out.is_some() {
-            tally.eco_ms.push(ms(t_eco));
         }
-        if record(&mut tally, &mut expected, seq, d, cold, eco_out).is_some() {
-            tally.answered += 2;
-            tally.ops += (d.graph.len() + d.eco.len()) as u64;
-        }
-        seq += 1;
     }
+    times.fill(&mut tally, host.scale());
     let metrics = tally.end_to_end(setup_s, measure::peak_bytes());
     Outcome {
         attempted: tally.attempted,
         failed: tally.failed,
         samples: vec![
-            ("designs", seq.min(DESIGNS)),
+            ("designs", DESIGNS),
+            ("passes", passes as usize),
             ("latency", tally.latency_ms.len()),
             ("eco", tally.eco_ms.len()),
         ],
+        calibration_ms: Some(host.calibration_ms()),
         failures: tally.failures,
         metrics,
         trace: None,
@@ -208,8 +208,8 @@ fn traced(ctx: &Ctx, designs: &[Design]) -> Outcome {
     hls_obs::recorder::clear_events();
     let start = Instant::now();
     while ctx.in_window(start) {
-        let seq = id as usize;
-        let d = &designs[seq % designs.len()];
+        let i = id as usize % designs.len();
+        let d = &designs[i];
         id += 1;
         // The untraced copy runs before the traced one on even designs
         // and after it on odd ones, so warm caches favour neither side
@@ -245,7 +245,7 @@ fn traced(ctx: &Ctx, designs: &[Design]) -> Outcome {
             plain_us += plain();
         }
 
-        let Some((c, _)) = record(&mut tally, &mut expected, seq, d, cold, eco_out) else {
+        let Some((c, _)) = record(&mut tally, &mut expected, i, d, cold, eco_out) else {
             continue;
         };
         spills += c.report.spills;
@@ -266,7 +266,7 @@ fn traced(ctx: &Ctx, designs: &[Design]) -> Outcome {
                     splices += n;
                     chains_final += final_chains;
                 }
-                Err(msg) => tally.fail(format!("design {seq} replay: {msg}")),
+                Err(msg) => tally.fail(format!("design {i} replay: {msg}")),
             }
         }
     }
@@ -292,6 +292,7 @@ fn traced(ctx: &Ctx, designs: &[Design]) -> Outcome {
         attempted: tally.attempted,
         failed: tally.failed,
         samples: vec![("designs", id as usize), ("replays", replays)],
+        calibration_ms: None,
         failures: tally.failures,
         metrics,
         trace: Some(t),

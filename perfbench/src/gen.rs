@@ -20,7 +20,11 @@ pub fn design(seed: u64, ops: usize) -> PrecedenceGraph {
 /// New ops feed no existing op: an edge into an op the soft schedule
 /// already ordered before the new op's source has no feasible
 /// position, and the existing op's operands would not name the new
-/// one.
+/// one. They read ops from the last quarter of `g`, which the
+/// generators build in topological order: new outputs read late
+/// values, and a graft's cost grows with its sources' ancestor cones,
+/// so sources spread over the whole design would make that cost swing
+/// from seed to seed.
 pub fn eco_target(g: &PrecedenceGraph, added: usize, rng: &mut Rng) -> PrecedenceGraph {
     let dm = DelayModel::classic();
     let mut t = g.clone();
@@ -28,7 +32,7 @@ pub fn eco_target(g: &PrecedenceGraph, added: usize, rng: &mut Rng) -> Precedenc
         let kind = [OpKind::Add, OpKind::Sub, OpKind::Mul][rng.range(0, 3)];
         let v = t.add_op(kind, dm.delay_of(kind), format!("eco{i}"));
         for _ in 0..rng.range(1, 3) {
-            let p = OpId::from_index(rng.range(0, g.len()));
+            let p = OpId::from_index(rng.range(g.len() * 3 / 4, g.len()));
             t.add_edge(p, v).expect("new op, distinct endpoints");
         }
     }

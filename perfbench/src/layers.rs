@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use threaded_sched::ThreadedScheduler;
 
 /// Every per-layer metric, named after the crate that owns the layer.
-pub const PER_LAYER: [(&str, &str); 36] = [
+pub const PER_LAYER: [(&str, &str); 35] = [
     ("ir.parse_ms", "ms"),
     ("ir.hash_ms", "ms"),
     ("ir.reach_build_ms", "ms"),
@@ -23,7 +23,6 @@ pub const PER_LAYER: [(&str, &str); 36] = [
     ("core.new_ms", "ms"),
     ("core.select_ms", "ms"),
     ("core.commit_ms", "ms"),
-    ("core.extract_ms", "ms"),
     ("core.splice_ms", "ms"),
     ("core.splices", "count"),
     ("core.graft_ms", "ms"),

@@ -5,10 +5,11 @@
 //! bodies of 24–64 ops. It is the only workload that reaches the
 //! modulo II search (`ModuloScheduler` via `run_modulo_portfolio`).
 //! Each pipelined kernel's one-iteration body is then extended by 1–3
-//! ops through `eco_flow`.
+//! ops through `eco_flow`. The run makes whole passes and counts each
+//! kernel's median one.
 
 use crate::layers::{self, set};
-use crate::measure::{self, ms, timed, Rng, Tally};
+use crate::measure::{self, timed, HostSpeed, ItemTimes, Rng, Tally};
 use crate::trace::Tracer;
 use crate::{gen, setup_repeated, Ctx, Outcome};
 use hls_flow::{eco_flow, run_flow, EcoBase, FlowConfig, FlowOutcome};
@@ -142,12 +143,15 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let cfg = config();
     let mut tally = Tally::default();
     let mut expected: Expected = vec![None; kernels.len()];
+    let mut times = ItemTimes::new(kernels.len());
     measure::reset_peak();
     let start = Instant::now();
+    let mut host = HostSpeed::start();
     let mut passes = 0;
     while ctx.another_pass(start, passes) {
         passes += 1;
         for (i, k) in kernels.iter().enumerate() {
+            host.tick();
             let g = k.graph.clone();
             let (cold, t_cold) = timed(|| run_flow(g, &cfg).map_err(|e| e.to_string()));
             let (eco_out, t_eco) = match &cold {
@@ -157,26 +161,24 @@ pub fn run(ctx: &Ctx) -> Outcome {
                 }
                 Err(_) => (None, Duration::ZERO),
             };
-            tally.busy += t_cold + t_eco;
-            tally.latency_ms.push(ms(t_cold));
-            if eco_out.is_some() {
-                tally.eco_ms.push(ms(t_eco));
-            }
             if record(&mut tally, &mut expected, i, k, &cfg, cold, eco_out).is_some() {
-                tally.answered += 2;
-                tally.ops += (k.graph.len() + k.eco.len()) as u64;
+                let ops = (k.graph.len() + k.eco.len()) as u64;
+                times.record(i, t_cold, t_eco, ops);
             }
         }
     }
+    times.fill(&mut tally, host.scale());
     let metrics = tally.end_to_end(setup_s, measure::peak_bytes());
     Outcome {
         attempted: tally.attempted,
         failed: tally.failed,
         samples: vec![
             ("kernels", kernels.len()),
+            ("passes", passes as usize),
             ("latency", tally.latency_ms.len()),
             ("eco", tally.eco_ms.len()),
         ],
+        calibration_ms: Some(host.calibration_ms()),
         failures: tally.failures,
         metrics,
         trace: None,
@@ -262,6 +264,7 @@ fn traced(ctx: &Ctx, kernels: &[Kernel]) -> Outcome {
         attempted: tally.attempted,
         failed: tally.failed,
         samples: vec![("kernels", id as usize)],
+        calibration_ms: None,
         failures: tally.failures,
         metrics,
         trace: Some(t),

@@ -1,19 +1,18 @@
 //! End-to-end and per-layer benchmark of the soft-scheduling stack.
 //!
 //! ```text
-//! perfbench --workload <compile-cold|engine-large|serve-mix|loops>
+//! perfbench --workload <compile-cold|serve-mix|loops>
 //!           --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
-//! Every workload builds its inputs from the seed, sets up five times
-//! (`setup_s` is the median), then runs a closed loop for the given
-//! seconds, checking every answer. With `--trace 0` the last stdout
+//! Every workload builds its inputs from the seed, sets up five to
+//! fifteen times (`setup_s` is the median), then runs a closed loop for
+//! the given seconds, checking every answer. With `--trace 0` the last stdout
 //! line carries the end-to-end metrics with `hls-obs` disabled; with
 //! `--trace 1` it carries the per-layer metrics of a traced run, and
 //! the spans are written to `perfbench/out/`. See `README.md`.
 
 mod cold;
-mod engine;
 mod gen;
 mod layers;
 mod loops;
@@ -59,19 +58,30 @@ pub struct Outcome {
     pub metrics: Vec<Metric>,
     /// Sample counts behind the metrics, by name.
     pub samples: Vec<(&'static str, usize)>,
+    /// The run's median host calibration, ms, where times were scaled
+    /// by it (see [`measure::HostSpeed`]).
+    pub calibration_ms: Option<f64>,
     /// The traced run's spans.
     pub trace: Option<trace::Tracer>,
 }
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+/// Set-ups per run: at least [`MIN_SETUPS`], and more, up to
+/// [`MAX_SETUPS`], while they take under [`SETUP_SECONDS`] together.
+/// `setup_s` is their median, so a cheap set-up gets enough samples to
+/// steady it.
+const MIN_SETUPS: usize = 5;
+const MAX_SETUPS: usize = 15;
+const SETUP_SECONDS: f64 = 2.0;
 
-/// Runs `setup` [`SETUPS`] times and returns the last result with the
-/// median set-up time in seconds.
+/// Runs `setup` repeatedly and returns the last result with the median
+/// set-up time in seconds.
 pub fn setup_repeated<T>(mut setup: impl FnMut() -> T) -> (T, f64) {
     let mut secs = Vec::new();
     let mut last = None;
-    for _ in 0..SETUPS {
+    let start = Instant::now();
+    while secs.len() < MIN_SETUPS
+        || (secs.len() < MAX_SETUPS && start.elapsed().as_secs_f64() < SETUP_SECONDS)
+    {
         drop(last.take());
         let t0 = Instant::now();
         last = Some(setup());
@@ -170,7 +180,6 @@ fn main() -> ExitCode {
     }
     let out = match args.workload.as_str() {
         "compile-cold" => cold::run(&ctx),
-        "engine-large" => engine::run(&ctx),
         "serve-mix" => serve::run(&ctx),
         "loops" => loops::run(&ctx),
         other => {
@@ -219,7 +228,7 @@ fn main() -> ExitCode {
         .map(|(k, n)| format!("{}:{n}", json_str(k)))
         .collect();
     println!(
-        "perfbench-env {{\"workload\":{},\"seed\":{},\"seconds\":{},\"trace\":{},\"nproc\":{nproc},\"cpu\":{},\"rustc\":{},\"git_rev\":{},\"samples\":{{{}}},\"trace_file\":{}}}",
+        "perfbench-env {{\"workload\":{},\"seed\":{},\"seconds\":{},\"trace\":{},\"nproc\":{nproc},\"cpu\":{},\"rustc\":{},\"git_rev\":{},\"samples\":{{{}}},\"calibration_ms\":{},\"trace_file\":{}}}",
         json_str(&args.workload),
         args.seed,
         args.seconds,
@@ -228,6 +237,8 @@ fn main() -> ExitCode {
         json_str(&command_line("rustc", &["--version"], &[])),
         json_str(&git_rev),
         samples.join(","),
+        out.calibration_ms
+            .map_or("null".to_string(), |c| c.to_string()),
         trace_file.as_deref().map_or("null".to_string(), json_str),
     );
 

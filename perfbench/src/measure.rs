@@ -62,6 +62,95 @@ pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }
 
+/// The host's speed over a run, from a fixed piece of work in the
+/// benchmark's own code ([`calibrate`]) timed between the run's items.
+///
+/// The shared host runs slower for stretches of minutes, longer than a
+/// run, and a median over the run's passes cannot see past those.
+/// Times are therefore reported at a reference speed: each is scaled
+/// by [`REFERENCE_CALIBRATION_MS`] over the run's median calibration.
+/// The calibration is the benchmark's own code, so a change to the
+/// program moves the scaled times as it moves the raw ones.
+pub struct HostSpeed {
+    samples: Vec<f64>,
+    last: Instant,
+}
+
+/// The calibration's median time, ms, on the 2-vCPU host the reported
+/// first numbers come from: scaled times read as that host's.
+const REFERENCE_CALIBRATION_MS: f64 = 16.0;
+/// How often a run samples the calibration.
+const CALIBRATE_EVERY: Duration = Duration::from_millis(250);
+
+impl HostSpeed {
+    /// Takes the first sample.
+    pub fn start() -> HostSpeed {
+        let mut h = HostSpeed {
+            samples: Vec::new(),
+            last: Instant::now(),
+        };
+        h.sample();
+        h
+    }
+
+    /// Samples the calibration if [`CALIBRATE_EVERY`] has passed since
+    /// the last sample. Called between items, outside their timing.
+    pub fn tick(&mut self) {
+        if self.last.elapsed() >= CALIBRATE_EVERY {
+            self.sample();
+        }
+    }
+
+    fn sample(&mut self) {
+        self.samples.push(ms(calibrate()));
+        self.last = Instant::now();
+    }
+
+    /// The run's median calibration, ms.
+    pub fn calibration_ms(&self) -> f64 {
+        median(&self.samples)
+    }
+
+    /// The factor that brings this run's times to the reference speed.
+    pub fn scale(&self) -> f64 {
+        REFERENCE_CALIBRATION_MS / self.calibration_ms()
+    }
+}
+
+/// Times a fixed piece of work: fill a 256 KiB table, walk it in a
+/// dependent pseudo-random order, sort it, then mix integers in
+/// registers. Like the workloads' graph code it is branchy, chases
+/// pointers and stays in cache, so it slows as they do when the host
+/// gives the core less; a table larger than the caches would time
+/// memory latency instead. The peak-heap count is left as it was: the
+/// workloads call it single-threaded, between items.
+fn calibrate() -> Duration {
+    const WORDS: usize = 1 << 16;
+    let peak = PEAK.load(Ordering::Relaxed);
+    let t0 = Instant::now();
+    let mut table = vec![0u32; WORDS];
+    let mut x = 0x9e37_79b9u32;
+    for w in table.iter_mut() {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        *w = x;
+    }
+    let mut i = 0usize;
+    for j in 0..(1usize << 20) {
+        i = (table[i] as usize ^ j) & (WORDS - 1);
+    }
+    table.sort_unstable();
+    let mut h = i as u64 ^ u64::from(table[WORDS / 2]);
+    for k in 0..(1u64 << 22) {
+        h = (h ^ k).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
+    }
+    std::hint::black_box((h, table));
+    let d = t0.elapsed();
+    PEAK.store(peak, Ordering::Relaxed);
+    d
+}
+
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -159,6 +248,45 @@ impl Tally {
             metric("schedule_states", self.states as f64, "count"),
             metric("ii_sum", self.ii as f64, "count"),
         ]
+    }
+}
+
+/// Each item's answer times over a run's whole passes. A shared host
+/// slows some passes of a run and not others, so an item counts with
+/// its median pass, and once however many passes fit in the window.
+pub struct ItemTimes {
+    /// Per item: input ops, then cold and ECO time, ms, of each
+    /// answered pass.
+    items: Vec<(u64, Vec<f64>, Vec<f64>)>,
+}
+
+impl ItemTimes {
+    pub fn new(items: usize) -> ItemTimes {
+        ItemTimes {
+            items: vec![(0, Vec::new(), Vec::new()); items],
+        }
+    }
+
+    /// Records one answered pass of item `i`.
+    pub fn record(&mut self, i: usize, cold: Duration, eco: Duration, ops: u64) {
+        let (n, colds, ecos) = &mut self.items[i];
+        *n = ops;
+        colds.push(ms(cold));
+        ecos.push(ms(eco));
+    }
+
+    /// One pass made of every item's median answers, each time scaled
+    /// by `scale` (see [`HostSpeed`]), goes into the tally: latencies,
+    /// busy time, answers and ops.
+    pub fn fill(&self, tally: &mut Tally, scale: f64) {
+        for (ops, colds, ecos) in self.items.iter().filter(|it| !it.1.is_empty()) {
+            let (cold, eco) = (median(colds) * scale, median(ecos) * scale);
+            tally.latency_ms.push(cold);
+            tally.eco_ms.push(eco);
+            tally.busy += Duration::from_secs_f64((cold + eco) / 1e3);
+            tally.answered += 2;
+            tally.ops += ops;
+        }
     }
 }
 
