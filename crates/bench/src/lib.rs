@@ -20,9 +20,8 @@
 //! * [`mem`] — the byte-counting global allocator behind the memory
 //!   column of the scaling study;
 //! * [`microbench`] — hot-path micro-benchmarks (BENCH_7): `select`
-//!   and `commit` per-op cost, `ReachIndex` probe throughput, the
-//!   word-parallel extremum kernels vs their scalar oracles, and the
-//!   arena `reset_to`-vs-clone and portfolio-wall comparisons;
+//!   and `commit` per-op cost, `ReachIndex` probe throughput, and the
+//!   word-parallel extremum kernels vs their scalar oracles;
 //! * [`serve_load`] — the daemon load study (BENCH_5): open-loop
 //!   throughput and p50/p99 at 0.5×/1×/2× estimated capacity,
 //!   shed-rate under overload, and the schedule-cache hit/ECO-replay

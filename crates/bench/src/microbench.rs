@@ -1,12 +1,10 @@
-//! Criterion-style micro-benchmarks for the scheduler hot path
-//! (BENCH_7).
+//! Micro-benchmarks for the scheduler hot path (BENCH_7).
 //!
 //! The repo takes no external bench dependency, so this module carries
-//! a small shim with the parts of criterion the studies need: warmup,
-//! adaptive iteration counts, repeated samples, and min/median
-//! statistics (min is the headline — on a shared vCPU every source of
-//! noise only *adds* time, so the minimum is the best estimate of the
-//! true cost). Each scenario isolates one hot-path ingredient:
+//! the small timing harness the studies need: warmup, repeated
+//! samples, and min/median statistics (min is the headline — on a
+//! shared vCPU every source of noise only *adds* time, so the minimum
+//! is the best estimate of the true cost). Each scenario isolates one hot-path ingredient:
 //!
 //! * [`bench_select_commit`] — `select` alone (read-only, repeatable)
 //!   and the full `select`+`commit` pair, per operation, measured
@@ -14,12 +12,7 @@
 //! * [`bench_probes`] — `ReachIndex` pair probes (`reaches`), set
 //!   probes (`set_reaches`/`set_reached_by` against a live
 //!   [`ChainExtrema`]), and the word-parallel extremum-row kernels vs
-//!   their scalar oracles;
-//! * [`bench_arena`] — `ThreadedScheduler::reset_to` vs
-//!   `template.clone()` on a grown state, the allocation cost the
-//!   portfolio arena removes from every run after a worker's first;
-//! * [`bench_portfolio_wall`] — an end-to-end portfolio race, arena
-//!   reuse vs the `HLS_PORTFOLIO_NO_ARENA` clone-per-run baseline.
+//!   their scalar oracles.
 //!
 //! `bin/microbench.rs` drives these, prints a table, emits
 //! `BENCH_7.json`, and in `--check` mode gates CI on the 100k-op
@@ -129,19 +122,18 @@ pub fn bench_select_commit(ops: usize) -> (Sample, Sample) {
     });
 
     // The pair mutates, so each sample schedules the full order on a
-    // state reset in place (the arena reset keeps the samples
-    // allocation-free and identical); per-op cost is the full-schedule
-    // wall divided by the op count.
+    // fresh clone of the pristine template (the clone is microseconds
+    // against a multi-millisecond schedule); per-op cost is the
+    // full-schedule wall divided by the op count.
     let g = generate::layered_dag(0x5EED ^ ops as u64, &sweep_config(ops));
     let resources = ResourceSet::classic(2, 2);
     let full_order = MetaSchedule::Topological
         .order(&g, &resources)
         .expect("orders");
     let template = ThreadedScheduler::new(g, resources).expect("builds");
-    let mut ts = template.clone();
     let n = full_order.len() as f64;
     let mut pair = time_fn("select_commit_ns_per_op", 1, 3, || {
-        assert!(ts.reset_to(&template), "template reuse stays legal");
+        let mut ts = template.clone();
         for &v in &full_order {
             let p = ts.select(v).expect("feasible");
             ts.commit(p, v);
@@ -317,71 +309,6 @@ pub fn bench_kernels(ops: usize) -> KernelReport {
     }
 }
 
-/// `reset_to` vs `clone` of a fully-scheduled `ops`-op state:
-/// microseconds per pristine scheduler obtained.
-pub fn bench_arena(ops: usize) -> (Sample, Sample) {
-    let g = generate::layered_dag(0x5EED ^ ops as u64, &sweep_config(ops));
-    let resources = ResourceSet::classic(2, 2);
-    let order = MetaSchedule::Topological
-        .order(&g, &resources)
-        .expect("orders");
-    let template = ThreadedScheduler::new(g, resources).expect("builds");
-    // Grow a state from a *clone of the template* — `reset_to` pins
-    // the shared graph core by pointer identity, so a scheduler built
-    // from scratch over an equal graph would (correctly) be refused.
-    let mut grown = template.clone();
-    for &v in &order {
-        let p = grown.select(v).expect("feasible");
-        grown.commit(p, v);
-    }
-    let reset = time_fn("arena_reset_ns", 200, 5, || {
-        assert!(grown.reset_to(&template));
-        black_box(grown.scheduled_count());
-    });
-    let clone = time_fn("template_clone_ns", 200, 5, || {
-        black_box(template.clone().scheduled_count());
-    });
-    (reset, clone)
-}
-
-/// End-to-end portfolio wall on a `ops`-op layered DAG, arena reuse
-/// vs the clone-per-run baseline (`HLS_PORTFOLIO_NO_ARENA`), in
-/// microseconds. Runs each variant `repeats` times and keeps the
-/// minimum. The race result is identical either way — asserted here.
-pub fn bench_portfolio_wall(ops: usize, threads: usize, repeats: usize) -> (u128, u128) {
-    let g = generate::layered_dag(0x5EED ^ ops as u64, &sweep_config(ops));
-    let resources = ResourceSet::classic(2, 2);
-    let cfg = hls_search::portfolio::PortfolioConfig {
-        threads,
-        ..Default::default()
-    };
-    let run = |label: &str| -> (u128, u64) {
-        let mut best_us = u128::MAX;
-        let mut diameter = 0;
-        for _ in 0..repeats {
-            let t0 = Instant::now();
-            let out = hls_search::portfolio::run_portfolio(&g, &resources, &cfg)
-                .unwrap_or_else(|e| panic!("portfolio ({label}) must complete: {e}"));
-            best_us = best_us.min(t0.elapsed().as_micros());
-            diameter = out.diameter;
-        }
-        (best_us, diameter)
-    };
-    // SAFETY-free env dance: the knob is read per checkout, and the
-    // portfolio threads of one variant are joined before the next
-    // variant starts, so the two variants never overlap.
-    std::env::remove_var("HLS_PORTFOLIO_NO_ARENA");
-    let (arena_us, d_arena) = run("arena");
-    std::env::set_var("HLS_PORTFOLIO_NO_ARENA", "1");
-    let (clone_us, d_clone) = run("clone-per-run");
-    std::env::remove_var("HLS_PORTFOLIO_NO_ARENA");
-    assert_eq!(
-        d_arena, d_clone,
-        "arena reuse must not change the race result"
-    );
-    (arena_us, clone_us)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,12 +328,5 @@ mod tests {
         let st = mid_run_state(400, 200);
         assert_eq!(st.ts.scheduled_count(), 200);
         assert_eq!(st.pending.len(), 200);
-    }
-
-    #[test]
-    fn portfolio_wall_variants_agree_on_the_result() {
-        // Smoke-sized: the assertion inside is the point.
-        let (arena, clone) = bench_portfolio_wall(300, 2, 1);
-        assert!(arena > 0 && clone > 0);
     }
 }

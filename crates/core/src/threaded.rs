@@ -321,57 +321,6 @@ impl ThreadedScheduler {
         Ok(ts)
     }
 
-    /// Returns this scheduler to the pristine state of `template` *in
-    /// place*, keeping every grown buffer's capacity — the arena move
-    /// behind the search crate's per-worker run reuse: a race run that
-    /// schedules `|V|` ops grows ~10 per-node tables through their
-    /// doubling ladders, and resetting instead of cloning makes every
-    /// run after a worker's first allocation-free.
-    ///
-    /// Returns `false` (and changes nothing) when reuse would not be
-    /// bit-identical to `template.clone()`: the state was poisoned
-    /// mid-commit, its graph diverged from the template's (refinement
-    /// grows the graph copy-on-write), or the resources differ. Callers
-    /// fall back to cloning in that case.
-    pub fn reset_to(&mut self, template: &ThreadedScheduler) -> bool {
-        if self.poisoned.is_some()
-            || !Arc::ptr_eq(&self.core, &template.core)
-            || self.resources != template.resources
-        {
-            return false;
-        }
-        self.node_of.iter_mut().for_each(|s| *s = None);
-        self.sched_extrema.clear(&self.core.reach);
-        self.diam = 0;
-        self.proj = 0;
-        // `res_floor` is a pure function of graph + resources: keep it.
-        self.n_thread.clear();
-        self.nh.clear();
-        {
-            let lz = self.n_tdist.get_mut();
-            lz.val.clear();
-            lz.dirty.clear();
-            lz.stack.clear();
-        }
-        self.inc.clear();
-        self.out.clear();
-        self.reach_b.clear();
-        self.reach_f.clear();
-        // A wider stride (wire threads) only pads rows; keep it.
-        self.sent_s.clear();
-        self.sent_t.clear();
-        self.op_of.clear();
-        self.threads = 0;
-        self.total_delay = 0;
-        self.history.clear();
-        // Scratch buffers are epoch-stamped; stale stamps never match a
-        // fresh epoch, so they carry over as-is.
-        for _ in 0..self.resources.k() {
-            self.push_thread();
-        }
-        true
-    }
-
     /// The scheduler's working copy of the precedence graph (grows under
     /// refinement).
     pub fn graph(&self) -> &PrecedenceGraph {
@@ -1038,86 +987,29 @@ impl ThreadedScheduler {
         Ok(v)
     }
 
-    /// Replays an engineering-change resubmission incrementally: grows
-    /// the scheduled behavior to match `target` — which must
-    /// [`extend`](PrecedenceGraph::extends) the current graph — by
-    /// [`refine_add_op`](Self::refine_add_op)-ing each new operation in
-    /// id order, with its edges attached as both endpoints become
-    /// available. Re-schedules only the added cone instead of the
-    /// whole design from scratch; see
-    /// [`refine_graft`](Self::refine_graft) for the variant that
-    /// tolerates states whose ids have diverged from the submitted
-    /// base (the serve layer's ECO fast path).
-    ///
-    /// The `budget` is checked before every added operation (the wall
-    /// deadline and a step quota counted over *added* ops), so a
-    /// pathological "extension" of ten thousand operations degrades
-    /// into a typed [`SchedError::Timeout`], never an unbounded stall.
-    ///
-    /// Returns the ids of the added operations.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::NotAnExtension`] if `target` does not extend the
-    /// current behavior or carries loop edges (the acyclic replay
-    /// cannot honour inter-iteration semantics);
-    /// [`SchedError::Timeout`] on budget expiry; otherwise the errors
-    /// of [`refine_add_op`](Self::refine_add_op).
-    pub fn refine_replay(
-        &mut self,
-        target: &PrecedenceGraph,
-        budget: &hls_ir::Budget,
-    ) -> Result<Vec<OpId>, SchedError> {
-        if target.has_loop_edges() || !target.extends(&self.core.g) {
-            return Err(SchedError::NotAnExtension);
-        }
-        let mut added = Vec::with_capacity(target.len() - self.core.g.len());
-        for i in self.core.g.len()..target.len() {
-            if budget.expired(added.len() as u64) {
-                return Err(SchedError::Timeout);
-            }
-            let v = OpId::from_index(i);
-            // Edges to ops not yet added are attached later, from the
-            // other endpoint, once it arrives (ids grow monotonically).
-            let existing = self.core.g.len();
-            let preds: Vec<OpId> = target
-                .preds(v)
-                .iter()
-                .copied()
-                .filter(|p| p.index() < existing)
-                .collect();
-            let succs: Vec<OpId> = target
-                .succs(v)
-                .iter()
-                .copied()
-                .filter(|s| s.index() < existing)
-                .collect();
-            let id =
-                self.refine_add_op(target.kind(v), target.delay(v), target.label(v), &preds, &succs)?;
-            debug_assert_eq!(id, v, "replay preserves id order");
-            added.push(id);
-        }
-        Ok(added)
-    }
-
     /// Grafts the ops of `target` beyond `map.len()` onto this state,
     /// translating edge endpoints through `map` (submitted-graph index
-    /// → id in this state). This is
-    /// [`refine_replay`](Self::refine_replay) for states whose
-    /// behavior has *diverged
-    /// in ids* from the submitted base — e.g. a finished flow state
-    /// that appended spill, move and wire-delay operations after the
-    /// base ops. The serve layer's schedule cache uses this as its
-    /// ECO-delta fast path: the delta cone is scheduled incrementally
-    /// onto the cached post-flow state, everything already absorbed
-    /// stays absorbed.
+    /// → id in this state), by
+    /// [`refine_add_op`](Self::refine_add_op)-ing each new operation in
+    /// id order, with its edges attached as both endpoints become
+    /// available. Only the added cone is scheduled. This is the one
+    /// engineering-change entry point: a state whose ids still match
+    /// the submitted base takes the identity map, and a state whose
+    /// behavior has *diverged in ids* from it — e.g. a finished flow
+    /// state that appended spill, move and wire-delay operations after
+    /// the base ops — takes the map the flow recorded. The serve
+    /// layer's schedule cache uses this as its ECO-delta fast path:
+    /// the delta cone is scheduled incrementally onto the cached
+    /// post-flow state, everything already absorbed stays absorbed.
     ///
     /// The caller asserts that the first `map.len()` ops of `target`
     /// are the base behavior behind `map` (the cache checks
     /// [`PrecedenceGraph::extends`] against the graph as submitted).
     /// `map` is extended in place with the ids of the grafted ops.
-    /// The `budget` is checked before every added op, exactly as in
-    /// replay.
+    /// The `budget` is checked before every added op (the wall
+    /// deadline and a step quota counted over *added* ops), so a
+    /// pathological delta of ten thousand operations degrades into a
+    /// typed [`SchedError::Timeout`], never an unbounded stall.
     ///
     /// # Errors
     ///
@@ -2705,9 +2597,10 @@ mod tests {
     }
 
     #[test]
-    fn refine_replay_matches_scheduling_the_extension_directly() {
+    fn identity_graft_matches_scheduling_the_extension_directly() {
         use hls_ir::Budget;
-        // Schedule a base graph, extend it with a small cone, replay.
+        // Schedule a base graph, extend it with a small cone, graft it
+        // through the identity map.
         let base = hls_ir::bench_graphs::ewf();
         let resources = ResourceSet::classic(2, 1).with(ResourceClass::MemPort, 1);
         let order = crate::meta::MetaSchedule::ListBased
@@ -2727,24 +2620,26 @@ mod tests {
         let c3 = target.add_op(OpKind::Mul, 2, "eco3");
         target.add_edge(c3, c2).unwrap();
 
-        let added = ts.refine_replay(&target, &Budget::NONE).unwrap();
+        let identity = |n: usize| (0..n).map(OpId::from_index).collect::<Vec<_>>();
+        let mut map = identity(base.len());
+        let added = ts.refine_graft(&target, &mut map, &Budget::NONE).unwrap();
         assert_eq!(added, vec![c1, c2, c3]);
-        assert_eq!(ts.graph().len(), target.len());
-        assert!(ts.graph().has_edge(c3, c2));
+        assert_eq!(map, identity(target.len()), "the identity map stays the identity");
+        assert!(ts.graph().extends(&target) && target.extends(ts.graph()));
         ts.check_invariants().unwrap();
+        let hard = ts.extract_hard();
+        hls_ir::schedule::validate(&target, &resources, &hard).unwrap();
 
-        // Non-extensions and exhausted budgets are typed errors.
-        let mut other = base.clone();
-        let v0 = other.op_ids().next().unwrap();
-        other.set_delay(v0, 99);
-        let mut ts2 = ThreadedScheduler::new(base.clone(), resources.clone()).unwrap();
+        // Non-extensions and exhausted budgets are typed errors: the
+        // base is not an extension of the longer target.
+        let mut ts2 = ThreadedScheduler::new(target.clone(), resources.clone()).unwrap();
         assert!(matches!(
-            ts2.refine_replay(&other, &Budget::NONE),
+            ts2.refine_graft(&base, &mut identity(target.len()), &Budget::NONE),
             Err(SchedError::NotAnExtension)
         ));
-        let mut ts3 = ThreadedScheduler::new(base, resources).unwrap();
+        let mut ts3 = ThreadedScheduler::new(base.clone(), resources).unwrap();
         assert!(matches!(
-            ts3.refine_replay(&target, &Budget::steps(1)),
+            ts3.refine_graft(&target, &mut identity(base.len()), &Budget::steps(1)),
             Err(SchedError::Timeout)
         ));
     }
@@ -2754,8 +2649,8 @@ mod tests {
         use hls_ir::Budget;
         // Schedule the base, then mutate the state's behavior the way
         // the flow does (append a refinement op), so target ids no
-        // longer line up with state ids — the case refine_replay
-        // rejects and refine_graft exists for.
+        // longer line up with state ids — the case the submitted-index
+        // map exists for.
         let base = hls_ir::bench_graphs::ewf();
         let resources = ResourceSet::classic(2, 1).with(ResourceClass::MemPort, 1);
         let order = crate::meta::MetaSchedule::ListBased
@@ -2773,10 +2668,6 @@ mod tests {
         target.add_edge(sinks[0], c1).unwrap();
         let c2 = target.add_op(OpKind::Mul, 2, "eco2");
         target.add_edge(c1, c2).unwrap();
-        assert!(matches!(
-            ts.clone().refine_replay(&target, &Budget::NONE),
-            Err(SchedError::NotAnExtension)
-        ));
 
         let mut map: Vec<OpId> = (0..base.len()).map(OpId::from_index).collect();
         let before = ts.graph().len();
@@ -2796,72 +2687,6 @@ mod tests {
             ts.refine_graft(&target, &mut map2, &Budget::steps(0)),
             Err(SchedError::Timeout)
         ));
-    }
-
-    #[test]
-    fn arena_reset_replays_bit_identically_to_a_fresh_clone() {
-        // The arena path: schedule, reset_to, schedule a *different*
-        // order — the reused state must behave exactly like a fresh
-        // clone of the template (same diameters, same hard schedules,
-        // invariants intact), including after a reset of a mid-run
-        // (partially scheduled) state.
-        let g = hls_ir::bench_graphs::ewf();
-        let resources = ResourceSet::classic(2, 2);
-        let template = ThreadedScheduler::new(g.clone(), resources.clone()).unwrap();
-        let topo = crate::meta::MetaSchedule::Topological
-            .order(&g, &resources)
-            .unwrap();
-        let dfs = crate::meta::MetaSchedule::Dfs.order(&g, &resources).unwrap();
-
-        let mut reused = template.clone();
-        reused.schedule_all(topo.iter().copied()).unwrap();
-        // Partially re-run, then reset again: a parked aborted run.
-        assert!(reused.reset_to(&template));
-        for &v in topo.iter().take(g.len() / 2) {
-            let p = reused.select(v).unwrap();
-            reused.commit(p, v);
-        }
-        assert!(reused.reset_to(&template));
-        reused.schedule_all(dfs.iter().copied()).unwrap();
-
-        let mut fresh = template.clone();
-        fresh.schedule_all(dfs.iter().copied()).unwrap();
-
-        assert_eq!(reused.diameter(), fresh.diameter());
-        assert_eq!(reused.history(), fresh.history());
-        for v in g.op_ids() {
-            assert_eq!(reused.thread_of(v), fresh.thread_of(v));
-        }
-        let (hr, hf) = (reused.extract_hard(), fresh.extract_hard());
-        for v in g.op_ids() {
-            assert_eq!(hr.start(v), hf.start(v));
-        }
-        reused.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn arena_reset_refuses_diverged_or_poisoned_states() {
-        let g = hls_ir::bench_graphs::hal();
-        let resources = ResourceSet::classic(2, 2);
-        let template = ThreadedScheduler::new(g.clone(), resources.clone()).unwrap();
-
-        // Refinement grows the graph copy-on-write: the cores diverge
-        // and the reset must refuse rather than replay the wrong graph.
-        let order = crate::meta::MetaSchedule::Topological
-            .order(&g, &resources)
-            .unwrap();
-        let mut refined = template.clone();
-        refined.schedule_all(order).unwrap();
-        let sink = refined.graph().sinks()[0];
-        refined
-            .refine_add_op(OpKind::Nop, 1, "wire", &[sink], &[])
-            .unwrap();
-        assert!(!refined.reset_to(&template));
-
-        // Different resources refuse too.
-        let other = ThreadedScheduler::new(g.clone(), ResourceSet::classic(1, 1)).unwrap();
-        let mut mine = other.clone();
-        assert!(!mine.reset_to(&template));
     }
 
     #[test]

@@ -141,16 +141,6 @@ impl ChainExtrema {
         self.max.resize(index.chain_count(), NO_UP);
     }
 
-    /// Empties the set in place — every chain back to "no member" —
-    /// re-synced to the chains of `index`. Buffer capacity is retained,
-    /// so arena-style reuse of a scheduler state allocates nothing.
-    pub fn clear(&mut self, index: &ReachIndex) {
-        self.min.clear();
-        self.max.clear();
-        self.min.resize(index.chain_count(), NO_DOWN);
-        self.max.resize(index.chain_count(), NO_UP);
-    }
-
     /// The lowest member position in chain `c` ([`NO_DOWN`] when the
     /// chain holds no member).
     pub fn min_of(&self, c: usize) -> Pos {

@@ -68,8 +68,8 @@ pub fn chrome_trace_json(events: &[EventOut]) -> String {
     out
 }
 
-/// Renders the metrics registry as one flat JSON object:
-/// counters and gauges by name, histograms as
+/// Renders a metrics snapshot as one flat JSON object:
+/// counters by name, histograms as
 /// `{count, sum_us, mean_us, p50_us, p99_us}` objects.
 pub fn metrics_json(snap: &MetricsSnapshot) -> String {
     let mut out = String::from("{");
@@ -82,9 +82,6 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
         out.push_str(&format!("\"{}\":{}", json_escape(key), val));
     };
     for (name, v) in &snap.counters {
-        field(&mut out, name, v.to_string());
-    }
-    for (name, v) in &snap.gauges {
         field(&mut out, name, v.to_string());
     }
     for (name, h) in &snap.hists {

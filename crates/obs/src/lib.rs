@@ -10,8 +10,8 @@
 //!   consistently or skip. No allocation in steady state; on wrap
 //!   the newest events win.
 //! * **Metrics registry** ([`metrics`]) — typed counters (sharded
-//!   eight ways against cacheline contention), gauges, and
-//!   log2-bucketed latency histograms, all plain atomics.
+//!   eight ways against cacheline contention) and log2-bucketed
+//!   latency histograms, all plain atomics.
 //! * **Exporters** ([`export`]) — Chrome `trace_event` JSON for
 //!   timelines and a flat JSON metrics snapshot; [`flight`] dumps
 //!   both on `catch_unwind` so panics leave a post-mortem.
@@ -59,7 +59,7 @@ pub mod recorder;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 pub use log::Level;
-pub use metrics::{Counter, Gauge, Hist};
+pub use metrics::{Counter, Hist};
 pub use recorder::{Phase, SpanGuard};
 
 /// `true` when the crate was built with the `recorder` feature (the
@@ -165,19 +165,8 @@ macro_rules! obs_count {
     };
 }
 
-/// Adjusts a [`Gauge`] by a signed delta:
-/// `obs_gauge_add!(QueueDepth, 1)` / `obs_gauge_add!(QueueDepth, -1)`.
-#[macro_export]
-macro_rules! obs_gauge_add {
-    ($gauge:ident, $delta:expr) => {
-        if $crate::recording() {
-            $crate::metrics::gauge_add($crate::Gauge::$gauge, $delta);
-        }
-    };
-}
-
 /// Records a sample into a [`Hist`]:
-/// `obs_hist!(ServeQueueWaitUs, micros)`.
+/// `obs_hist!(EcoGraftUs, micros)`.
 #[macro_export]
 macro_rules! obs_hist {
     ($hist:ident, $us:expr) => {

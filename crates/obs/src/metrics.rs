@@ -1,12 +1,16 @@
-//! The metrics registry: typed counters, gauges, and log2-bucketed
-//! latency histograms — all plain atomics, aggregated on demand.
+//! The metrics registry: typed counters and log2-bucketed latency
+//! histograms — all plain atomics, aggregated on demand.
 //!
 //! Counters are sharded eight ways on a per-thread affinity so hot
 //! paths (one `count!` per scheduler op) don't ping-pong a cacheline
-//! between workers. Gauges and histograms are single-copy: they are
-//! touched at phase granularity, not per-op.
+//! between workers. Histograms are single-copy: they are touched at
+//! phase granularity, not per-op.
+//!
+//! The registry is process-global and holds *library* metrics only
+//! (engine, search, flow). A daemon keeps its own per-instance
+//! accounting and reuses [`HistCell`] for its latency histograms.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic event counters. Keep the order stable — snapshots and
 /// the STATS plane key off [`Counter::name`].
@@ -49,20 +53,8 @@ pub enum Counter {
     AnsweredListSchedule,
     /// Flows that fell all the way to a bound-only answer.
     AnsweredBoundOnly,
-    /// Requests admitted by the daemon.
-    ServeRequests,
-    /// Requests answered `OK`.
-    ServeCompleted,
-    /// Requests answered `ERR` (any reject kind).
-    ServeRejected,
-    /// Requests that panicked inside a worker and were caught.
-    ServePanics,
-    /// Schedule-cache hits.
-    CacheHits,
     /// ECO grafts taken instead of a full flow.
     EcoGrafts,
-    /// `STATS` queries served.
-    StatsQueries,
     /// Log events emitted (at or above the active `HLS_LOG` level).
     LogEvents,
     /// Flight-recorder dumps written.
@@ -93,13 +85,7 @@ impl Counter {
         Counter::AnsweredSingleMeta,
         Counter::AnsweredListSchedule,
         Counter::AnsweredBoundOnly,
-        Counter::ServeRequests,
-        Counter::ServeCompleted,
-        Counter::ServeRejected,
-        Counter::ServePanics,
-        Counter::CacheHits,
         Counter::EcoGrafts,
-        Counter::StatsQueries,
         Counter::LogEvents,
         Counter::FlightDumps,
     ];
@@ -125,45 +111,9 @@ impl Counter {
             Counter::AnsweredSingleMeta => "answered_single_meta",
             Counter::AnsweredListSchedule => "answered_list_schedule",
             Counter::AnsweredBoundOnly => "answered_bound_only",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeCompleted => "serve_completed",
-            Counter::ServeRejected => "serve_rejected",
-            Counter::ServePanics => "serve_panics",
-            Counter::CacheHits => "cache_hits",
             Counter::EcoGrafts => "eco_grafts",
-            Counter::StatsQueries => "stats_queries",
             Counter::LogEvents => "log_events",
             Counter::FlightDumps => "flight_dumps",
-        }
-    }
-}
-
-/// Point-in-time gauges (signed: decrements are legal).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Jobs waiting in the daemon's admission queue.
-    QueueDepth = 0,
-    /// Requests currently being scheduled by workers.
-    InFlight,
-    /// Open client connections.
-    Connections,
-}
-
-impl Gauge {
-    /// Number of gauges.
-    pub const COUNT: usize = Gauge::Connections as usize + 1;
-
-    /// All gauges, in snapshot order.
-    pub const ALL: [Gauge; Gauge::COUNT] =
-        [Gauge::QueueDepth, Gauge::InFlight, Gauge::Connections];
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::QueueDepth => "queue_depth",
-            Gauge::InFlight => "in_flight",
-            Gauge::Connections => "connections",
         }
     }
 }
@@ -172,12 +122,8 @@ impl Gauge {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// End-to-end served request latency.
-    ServeRequestUs = 0,
-    /// Time a job spent queued before a worker picked it up.
-    ServeQueueWaitUs,
     /// Whole scheduling phase of a flow.
-    FlowScheduleUs,
+    FlowScheduleUs = 0,
     /// One portfolio race.
     PortfolioRaceUs,
     /// One strategy run inside a race.
@@ -198,8 +144,6 @@ impl Hist {
 
     /// All histograms, in snapshot order.
     pub const ALL: [Hist; Hist::COUNT] = [
-        Hist::ServeRequestUs,
-        Hist::ServeQueueWaitUs,
         Hist::FlowScheduleUs,
         Hist::PortfolioRaceUs,
         Hist::PortfolioRunUs,
@@ -212,8 +156,6 @@ impl Hist {
     /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
-            Hist::ServeRequestUs => "serve_request_us",
-            Hist::ServeQueueWaitUs => "serve_queue_wait_us",
             Hist::FlowScheduleUs => "flow_schedule_us",
             Hist::PortfolioRaceUs => "portfolio_race_us",
             Hist::PortfolioRunUs => "portfolio_run_us",
@@ -246,15 +188,14 @@ impl CounterShard {
 
 static COUNTERS: [CounterShard; SHARDS] = [CounterShard::EMPTY; SHARDS];
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_I64: AtomicI64 = AtomicI64::new(0);
-static GAUGES: [AtomicI64; Gauge::COUNT] = [ZERO_I64; Gauge::COUNT];
-
 /// 2^40 µs ≈ 12.7 days: bucket `i` holds samples with
 /// `floor(log2(us)) == i` (bucket 0 also takes 0 µs).
 pub const HIST_BUCKETS: usize = 40;
 
-struct HistCell {
+/// One log2-bucketed microsecond histogram: the storage behind every
+/// [`Hist`], public so per-instance accounting (the serve daemon's
+/// request and queue-wait latencies) shares the bucket code.
+pub struct HistCell {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum_us: AtomicU64,
@@ -269,6 +210,41 @@ impl HistCell {
         count: AtomicU64::new(0),
         sum_us: AtomicU64::new(0),
     };
+
+    /// Records one sample (microseconds).
+    #[inline]
+    pub fn record(&self, us: u64) {
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+    }
+
+    /// A read-only copy; each cell is read atomically.
+    pub fn snapshot(&self) -> HistSnapshot {
+        HistSnapshot {
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            count: self.count.load(Ordering::Relaxed),
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+        }
+    }
+
+    fn reset(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum_us.store(0, Ordering::Relaxed);
+    }
+}
+
+impl Default for HistCell {
+    fn default() -> HistCell {
+        HistCell::EMPTY
+    }
 }
 
 static HISTS: [HistCell; Hist::COUNT] = [HistCell::EMPTY; Hist::COUNT];
@@ -296,23 +272,6 @@ pub fn counter_get(c: Counter) -> u64 {
         .sum()
 }
 
-/// Adds `delta` (may be negative) to a gauge.
-#[inline]
-pub fn gauge_add(g: Gauge, delta: i64) {
-    GAUGES[g as usize].fetch_add(delta, Ordering::Relaxed);
-}
-
-/// Sets a gauge to an absolute value.
-#[inline]
-pub fn gauge_set(g: Gauge, value: i64) {
-    GAUGES[g as usize].store(value, Ordering::Relaxed);
-}
-
-/// Current gauge value.
-pub fn gauge_get(g: Gauge) -> i64 {
-    GAUGES[g as usize].load(Ordering::Relaxed)
-}
-
 fn bucket_of(us: u64) -> usize {
     if us == 0 {
         0
@@ -324,10 +283,7 @@ fn bucket_of(us: u64) -> usize {
 /// Records one sample (microseconds) into a histogram.
 #[inline]
 pub fn hist_record(h: Hist, us: u64) {
-    let cell = &HISTS[h as usize];
-    cell.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-    cell.count.fetch_add(1, Ordering::Relaxed);
-    cell.sum_us.fetch_add(us, Ordering::Relaxed);
+    HISTS[h as usize].record(us);
 }
 
 /// A read-only copy of one histogram.
@@ -367,13 +323,13 @@ impl HistSnapshot {
     }
 }
 
-/// A point-in-time copy of the whole registry.
+/// A point-in-time copy of the whole registry (or of a daemon's own
+/// accounting followed by the registry).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
-    /// `(name, total)` per counter, in [`Counter::ALL`] order.
+    /// `(name, value)` per counter, in [`Counter::ALL`] order for the
+    /// registry.
     pub counters: Vec<(&'static str, u64)>,
-    /// `(name, value)` per gauge.
-    pub gauges: Vec<(&'static str, i64)>,
     /// `(name, histogram)` per histogram.
     pub hists: Vec<(&'static str, HistSnapshot)>,
 }
@@ -401,34 +357,14 @@ pub fn snapshot() -> MetricsSnapshot {
         .iter()
         .map(|&c| (c.name(), counter_get(c)))
         .collect();
-    let gauges = Gauge::ALL
-        .iter()
-        .map(|&g| (g.name(), gauge_get(g)))
-        .collect();
     let hists = Hist::ALL
         .iter()
-        .map(|&h| {
-            let cell = &HISTS[h as usize];
-            let snap = HistSnapshot {
-                buckets: cell
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect(),
-                count: cell.count.load(Ordering::Relaxed),
-                sum_us: cell.sum_us.load(Ordering::Relaxed),
-            };
-            (h.name(), snap)
-        })
+        .map(|&h| (h.name(), HISTS[h as usize].snapshot()))
         .collect();
-    MetricsSnapshot {
-        counters,
-        gauges,
-        hists,
-    }
+    MetricsSnapshot { counters, hists }
 }
 
-/// Zeroes every counter, gauge, and histogram (test isolation only;
+/// Zeroes every counter and histogram (test isolation only;
 /// concurrent writers may land increments mid-reset).
 pub fn reset() {
     for shard in &COUNTERS {
@@ -436,15 +372,8 @@ pub fn reset() {
             v.store(0, Ordering::Relaxed);
         }
     }
-    for g in &GAUGES {
-        g.store(0, Ordering::Relaxed);
-    }
     for cell in &HISTS {
-        for b in &cell.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        cell.count.store(0, Ordering::Relaxed);
-        cell.sum_us.store(0, Ordering::Relaxed);
+        cell.reset();
     }
 }
 
@@ -485,12 +414,32 @@ mod tests {
     }
 
     #[test]
+    fn a_private_hist_cell_buckets_like_the_registry() {
+        let cell = HistCell::default();
+        for us in [0u64, 3, 1024] {
+            cell.record(us);
+        }
+        let snap = cell.snapshot();
+        assert_eq!((snap.count, snap.sum_us), (3, 1027));
+        assert_eq!(snap.buckets.len(), HIST_BUCKETS);
+        assert_eq!(
+            (snap.buckets[0], snap.buckets[1], snap.buckets[10]),
+            (1, 1, 1)
+        );
+        cell.reset();
+        assert_eq!(
+            cell.snapshot(),
+            HistSnapshot {
+                buckets: vec![0; HIST_BUCKETS],
+                ..Default::default()
+            }
+        );
+    }
+
+    #[test]
     fn enum_tables_are_consistent() {
         for (i, c) in Counter::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i);
-        }
-        for (i, g) in Gauge::ALL.iter().enumerate() {
-            assert_eq!(*g as usize, i);
         }
         for (i, h) in Hist::ALL.iter().enumerate() {
             assert_eq!(*h as usize, i);

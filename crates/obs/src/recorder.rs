@@ -143,7 +143,6 @@ impl Phase {
             Phase::ModuloRace => Some(Hist::ModuloRaceUs),
             Phase::ParallelStitch => Some(Hist::ParallelStitchUs),
             Phase::DegradeRung => Some(Hist::DegradeRungUs),
-            Phase::ServeRequest => Some(Hist::ServeRequestUs),
             Phase::EcoGraft => Some(Hist::EcoGraftUs),
             _ => None,
         }

@@ -198,45 +198,6 @@ pub fn race(
     race_from(&template, g, resources, candidates, threads, bound, budget)
 }
 
-/// A per-worker arena of scheduler state. The first run a worker
-/// executes clones the pristine template and *grows* all per-node
-/// tables; when that run does not hand its scheduler to the race
-/// result (aborted, timed out, or a losing complete run would — only
-/// winners move out), the grown state parks here and the next run
-/// [`ThreadedScheduler::reset_to`]s it instead of cloning: same
-/// pristine state bit-for-bit, zero allocation. Poisoned or diverged
-/// states fail the reset and fall back to a fresh clone.
-#[derive(Default)]
-pub struct RunArena {
-    parked: Option<Box<ThreadedScheduler>>,
-}
-
-impl RunArena {
-    /// A pristine scheduler for the next run: the parked state reset in
-    /// place when possible, a clone of `template` otherwise.
-    ///
-    /// Setting `HLS_PORTFOLIO_NO_ARENA` in the environment disables
-    /// the reuse and clones every run — the pre-arena behavior, kept
-    /// as a benchmark baseline (BENCH_7) and a diagnostic escape
-    /// hatch. Results are identical either way; only allocation
-    /// traffic differs.
-    fn checkout(&mut self, template: &ThreadedScheduler) -> Box<ThreadedScheduler> {
-        if std::env::var_os("HLS_PORTFOLIO_NO_ARENA").is_none() {
-            if let Some(mut ts) = self.parked.take() {
-                if ts.reset_to(template) {
-                    return ts;
-                }
-            }
-        }
-        Box::new(template.clone())
-    }
-
-    /// Parks a finished run's scheduler for reuse by the next checkout.
-    fn park(&mut self, ts: Box<ThreadedScheduler>) {
-        self.parked = Some(ts);
-    }
-}
-
 /// How one candidate's run ended, as sent over the race channel.
 enum RunResult {
     /// Ran the whole order; eligible to win. The scheduler is boxed:
@@ -267,13 +228,11 @@ enum RunResult {
 /// [`RunScope`](hls_ir::faultinject::RunScope) named after the
 /// candidate, so the harness can target one strategy of a race
 /// deterministically.
-#[allow(clippy::too_many_arguments)]
 fn run_candidate(
     cand: &Candidate,
     g: &PrecedenceGraph,
     resources: &ResourceSet,
     template: &ThreadedScheduler,
-    arena: &mut RunArena,
     slot: u64,
     incumbent: &AtomicU64,
     budget: &hls_ir::Budget,
@@ -283,7 +242,7 @@ fn run_candidate(
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _scope = hls_ir::faultinject::RunScope::enter(&cand.name);
         let order = cand.source.resolve(g, resources)?;
-        let mut ts = arena.checkout(template);
+        let mut ts = Box::new(template.clone());
         let outcome = ts.schedule_all_budgeted(order.iter().copied(), budget, |bound| {
             pack(bound, slot) > incumbent.load(Ordering::Relaxed)
         });
@@ -291,8 +250,6 @@ fn run_candidate(
             Ok(RunOutcome::Completed) => {
                 let d = ts.diameter();
                 incumbent.fetch_min(pack(d, slot), Ordering::Relaxed);
-                // Completed runs may win the race, so their scheduler
-                // travels with the result instead of parking.
                 RunResult::Completed {
                     scheduled: order.len(),
                     diameter: d,
@@ -302,16 +259,13 @@ fn run_candidate(
             }
             Ok(RunOutcome::Aborted { scheduled }) => {
                 hls_obs::obs_count!(StrategyAborted);
-                arena.park(ts);
                 RunResult::Aborted { scheduled }
             }
             Ok(RunOutcome::DeadlineExpired { scheduled }) => {
                 hls_obs::obs_count!(StrategyTimedOut);
-                arena.park(ts);
                 RunResult::TimedOut { scheduled }
             }
             Err(SchedError::Poisoned(msg)) => {
-                // A poisoned state would fail the reset anyway: drop it.
                 poisoned_post_mortem(&cand.name, &msg);
                 RunResult::Poisoned {
                     scheduled: ts.scheduled_count(),
@@ -380,31 +334,25 @@ fn race_from(
             let incumbent = &incumbent;
             let next_job = &next_job;
             // One template clone per *worker* (RefCell scratch makes
-            // the scheduler !Sync); the arena then recycles that
-            // worker's run state so runs after the first reset in
-            // place instead of cloning again.
+            // the scheduler !Sync); each run then clones that copy.
             let template = template.clone();
-            s.spawn(move || {
-                let mut arena = RunArena::default();
-                loop {
-                    let idx = next_job.fetch_add(1, Ordering::Relaxed);
-                    if idx >= candidates.len() {
-                        break;
-                    }
-                    let slot = (idx + 1) as u64;
-                    let run = run_candidate(
-                        &candidates[idx],
-                        g,
-                        resources,
-                        &template,
-                        &mut arena,
-                        slot,
-                        incumbent,
-                        budget,
-                    );
-                    if tx.send((idx, run)).is_err() {
-                        break;
-                    }
+            s.spawn(move || loop {
+                let idx = next_job.fetch_add(1, Ordering::Relaxed);
+                if idx >= candidates.len() {
+                    break;
+                }
+                let slot = (idx + 1) as u64;
+                let run = run_candidate(
+                    &candidates[idx],
+                    g,
+                    resources,
+                    &template,
+                    slot,
+                    incumbent,
+                    budget,
+                );
+                if tx.send((idx, run)).is_err() {
+                    break;
                 }
             });
         }

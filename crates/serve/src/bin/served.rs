@@ -129,24 +129,12 @@ fn main() {
 
     obs_info!("served", "draining");
     let stats = server.shutdown(Duration::from_secs(10));
-    obs_info!(
-        "served",
-        "done — received={} admitted={} completed={} shed={} drained={} \
-         malformed={} toolarge={} timeouts={} poisoned={} cache_hits={} eco_hits={} \
-         bound_only={}",
-        stats.received,
-        stats.admitted,
-        stats.completed,
-        stats.shed,
-        stats.drain_rejects,
-        stats.malformed,
-        stats.toolarge,
-        stats.timeouts,
-        stats.poisoned,
-        stats.cache_hits,
-        stats.eco_hits,
-        stats.bound_only,
-    );
+    let counters: Vec<String> = stats
+        .counters
+        .iter()
+        .map(|(n, v)| format!("{n}={v}"))
+        .collect();
+    obs_info!("served", "done — {}", counters.join(" "));
     if let Some(path) = trace_out {
         let json = hls_obs::export::chrome_trace_json(&hls_obs::recorder::snapshot_events());
         match std::fs::write(&path, json) {

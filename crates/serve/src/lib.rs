@@ -45,4 +45,4 @@ pub use client::{Client, ClientError, RequestOpts, RetryPolicy};
 pub use protocol::{
     Accepted, CacheStatus, ProtoError, Rejected, RejectKind, Request, Response,
 };
-pub use server::{BindAddr, ServeConfig, ServeStats, Server};
+pub use server::{BindAddr, ServeConfig, Server};

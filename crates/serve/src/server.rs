@@ -21,7 +21,7 @@
 //!
 //! [`try_send`]: std::sync::mpsc::SyncSender::try_send
 
-use crate::cache::{CachedAnswer, CacheStats, ScheduleCache};
+use crate::cache::{CachedAnswer, ScheduleCache};
 use crate::protocol::{
     self, Accepted, CacheStatus, RejectKind, Rejected, Request, Response, MAX_HEADER_BYTES,
 };
@@ -29,6 +29,7 @@ use hls_flow::{eco_flow, run_flow_degraded, EcoBase, FlowConfig, FlowError};
 use hls_ir::faultinject::{self, RunScope};
 use hls_ir::textfmt::{self, Limits};
 use hls_ir::{canon, Budget};
+use hls_obs::metrics::{HistCell, MetricsSnapshot};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -211,56 +212,45 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counter snapshot of a running (or stopped) daemon.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServeStats {
-    /// Request headers successfully read.
-    pub received: u64,
-    /// Requests admitted into the queue.
-    pub admitted: u64,
-    /// Requests answered with an `OK` line.
-    pub completed: u64,
-    /// Requests shed by the full queue or connection table.
-    pub shed: u64,
-    /// Requests refused because the daemon was draining.
-    pub drain_rejects: u64,
-    /// Malformed headers or bodies.
-    pub malformed: u64,
-    /// Requests over the size limits.
-    pub toolarge: u64,
-    /// Deadline expiries (in queue or in flow).
-    pub timeouts: u64,
-    /// Requests whose flow panicked (caught; answered `poisoned` or
-    /// degraded).
-    pub poisoned: u64,
-    /// Exact cache hits.
-    pub cache_hits: u64,
-    /// ECO-delta replays answered from a cached base.
-    pub eco_hits: u64,
-    /// Bound-only answers (deepest ladder rung).
-    pub bound_only: u64,
-    /// Current queue depth.
-    pub queue_depth: u64,
-    /// Schedule-cache counters.
-    pub cache: CacheStats,
-}
-
+/// The daemon's own accounting: the only place serve events are
+/// counted. Always on (independent of the `hls-obs` master switch) and
+/// per instance, so two servers in one process never share a count.
 #[derive(Default)]
 struct Counters {
+    /// Request headers successfully read.
     received: AtomicU64,
+    /// Requests admitted into the queue.
     admitted: AtomicU64,
+    /// Requests answered with an `OK` line.
     completed: AtomicU64,
+    /// Received requests answered with an `ERR` line (any kind).
+    rejected: AtomicU64,
+    /// Requests shed by the full queue or connection table.
     shed: AtomicU64,
+    /// Requests refused because the daemon was draining.
     drain_rejects: AtomicU64,
+    /// Malformed headers or bodies.
     malformed: AtomicU64,
+    /// Requests over the size limits.
     toolarge: AtomicU64,
+    /// Deadline expiries (in queue or in flow).
     timeouts: AtomicU64,
+    /// Requests answered `poisoned` (a caught panic).
     poisoned: AtomicU64,
-    cache_hits: AtomicU64,
+    /// ECO-delta grafts answered from a cached base.
     eco_hits: AtomicU64,
+    /// Bound-only answers (deepest ladder rung).
     bound_only: AtomicU64,
+    /// `STATS` queries answered.
+    stats_queries: AtomicU64,
+    /// Jobs waiting in the admission queue.
     queue_depth: AtomicU64,
+    /// Requests being scheduled by workers.
     in_flight: AtomicU64,
+    /// Worker time per request, dequeue to answer.
+    request_us: HistCell,
+    /// Time a job spent queued before a worker picked it up.
+    queue_wait_us: HistCell,
 }
 
 const RUNNING: u8 = 0;
@@ -282,6 +272,47 @@ struct Inner {
 impl Inner {
     fn state(&self) -> u8 {
         self.state.load(Ordering::Acquire)
+    }
+
+    /// The one snapshot `STATS`, [`Server::stats`] and
+    /// [`Server::shutdown`] render: this server's counters, then the
+    /// process-global library metrics.
+    fn snapshot(&self) -> MetricsSnapshot {
+        let s = &self.stats;
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let cache = unpoisoned(self.cache.lock()).stats();
+        let mut snap = MetricsSnapshot {
+            counters: vec![
+                ("serve_requests", load(&s.received)),
+                ("serve_admitted", load(&s.admitted)),
+                ("serve_completed", load(&s.completed)),
+                ("serve_rejected", load(&s.rejected)),
+                ("serve_shed", load(&s.shed)),
+                ("serve_drain_rejects", load(&s.drain_rejects)),
+                ("serve_malformed", load(&s.malformed)),
+                ("serve_toolarge", load(&s.toolarge)),
+                ("serve_timeouts", load(&s.timeouts)),
+                ("serve_poisoned", load(&s.poisoned)),
+                ("serve_eco_hits", load(&s.eco_hits)),
+                ("serve_bound_only", load(&s.bound_only)),
+                ("stats_queries", load(&s.stats_queries)),
+                ("cache_hits", cache.hits),
+                ("cache_misses", cache.misses),
+                ("cache_collisions", cache.collisions),
+                ("cache_evictions", cache.evictions),
+                ("queue_depth", load(&s.queue_depth)),
+                ("in_flight", load(&s.in_flight)),
+                ("connections", self.conns.load(Ordering::Relaxed) as u64),
+            ],
+            hists: vec![
+                ("serve_request_us", s.request_us.snapshot()),
+                ("serve_queue_wait_us", s.queue_wait_us.snapshot()),
+            ],
+        };
+        let lib = hls_obs::metrics::snapshot();
+        snap.counters.extend(lib.counters);
+        snap.hists.extend(lib.hists);
+        snap
     }
 }
 
@@ -406,30 +437,15 @@ impl Server {
         s.queue_depth.load(Ordering::Acquire) + s.in_flight.load(Ordering::Acquire)
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> ServeStats {
-        let s = &self.inner.stats;
-        ServeStats {
-            received: s.received.load(Ordering::Relaxed),
-            admitted: s.admitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            drain_rejects: s.drain_rejects.load(Ordering::Relaxed),
-            malformed: s.malformed.load(Ordering::Relaxed),
-            toolarge: s.toolarge.load(Ordering::Relaxed),
-            timeouts: s.timeouts.load(Ordering::Relaxed),
-            poisoned: s.poisoned.load(Ordering::Relaxed),
-            cache_hits: s.cache_hits.load(Ordering::Relaxed),
-            eco_hits: s.eco_hits.load(Ordering::Relaxed),
-            bound_only: s.bound_only.load(Ordering::Relaxed),
-            queue_depth: s.queue_depth.load(Ordering::Relaxed),
-            cache: unpoisoned(self.inner.cache.lock()).stats(),
-        }
+    /// The snapshot a `STATS` query serializes: this server's
+    /// counters followed by the global library metrics.
+    pub fn stats(&self) -> MetricsSnapshot {
+        self.inner.snapshot()
     }
 
     /// Drains, waits for in-flight work (bounded by `grace`), stops
-    /// every thread and returns the final counters.
-    pub fn shutdown(mut self, grace: Duration) -> ServeStats {
+    /// every thread and returns the final [`stats`](Server::stats).
+    pub fn shutdown(mut self, grace: Duration) -> MetricsSnapshot {
         self.drain();
         let gave_up = Instant::now() + grace;
         while self.pending() > 0 && Instant::now() < gave_up {
@@ -513,7 +529,6 @@ fn accept_loop(inner: &Arc<Inner>, listener: &Listener, tx: &SyncSender<Job>) {
                     continue;
                 }
                 inner.conns.fetch_add(1, Ordering::AcqRel);
-                hls_obs::obs_gauge_add!(Connections, 1);
                 let inner2 = Arc::clone(inner);
                 let tx2 = tx.clone();
                 let spawned = std::thread::Builder::new()
@@ -521,11 +536,9 @@ fn accept_loop(inner: &Arc<Inner>, listener: &Listener, tx: &SyncSender<Job>) {
                     .spawn(move || {
                         connection_loop(&inner2, stream, &tx2);
                         inner2.conns.fetch_sub(1, Ordering::AcqRel);
-                        hls_obs::obs_gauge_add!(Connections, -1);
                     });
                 if spawned.is_err() {
                     inner.conns.fetch_sub(1, Ordering::AcqRel);
-                    hls_obs::obs_gauge_add!(Connections, -1);
                     inner.stats.shed.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -619,8 +632,8 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
         if protocol::is_stats_header(&line) {
             match protocol::parse_stats_header(&line) {
                 Ok(sid) => {
-                    hls_obs::obs_count!(StatsQueries);
-                    let json = hls_obs::export::metrics_json(&hls_obs::metrics::snapshot());
+                    inner.stats.stats_queries.fetch_add(1, Ordering::Relaxed);
+                    let json = hls_obs::export::metrics_json(&inner.snapshot());
                     send_line(&writer, &Response::Stats(protocol::StatsReply { id: sid, json }));
                 }
                 Err(e) => {
@@ -658,7 +671,6 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
             }
         };
         inner.stats.received.fetch_add(1, Ordering::Relaxed);
-        hls_obs::obs_count!(ServeRequests);
         // The trace id is minted at admission so every response for
         // this request — including rejections — carries it.
         let trace = hls_obs::next_trace_id();
@@ -669,6 +681,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
             // connection closes because the unread body cannot be
             // skipped within bounded work.
             inner.stats.toolarge.fetch_add(1, Ordering::Relaxed);
+            inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
             send_line(
                 &writer,
                 &Response::Rejected(Rejected {
@@ -687,6 +700,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
             Ok(b) => b,
             Err(e) => {
                 inner.stats.malformed.fetch_add(1, Ordering::Relaxed);
+                inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 send_line(
                     &writer,
                     &Response::Rejected(Rejected {
@@ -702,6 +716,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
 
         if inner.state() != RUNNING {
             inner.stats.drain_rejects.fetch_add(1, Ordering::Relaxed);
+            inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
             send_line(
                 &writer,
                 &Response::Rejected(Rejected {
@@ -731,15 +746,14 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
         // the job before this thread runs again, and its decrement
         // must never observe the counter at zero.
         inner.stats.queue_depth.fetch_add(1, Ordering::AcqRel);
-        hls_obs::obs_gauge_add!(QueueDepth, 1);
         match tx.try_send(job) {
             Ok(()) => {
                 inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
             }
             Err(TrySendError::Full(job)) => {
                 inner.stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                hls_obs::obs_gauge_add!(QueueDepth, -1);
                 inner.stats.shed.fetch_add(1, Ordering::Relaxed);
+                inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 send_line(
                     &job.writer,
                     &Response::Rejected(Rejected {
@@ -755,8 +769,8 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream, tx: &SyncSender<Job>) {
             }
             Err(TrySendError::Disconnected(job)) => {
                 inner.stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
-                hls_obs::obs_gauge_add!(QueueDepth, -1);
                 inner.stats.drain_rejects.fetch_add(1, Ordering::Relaxed);
+                inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 send_line(
                     &job.writer,
                     &Response::Rejected(Rejected {
@@ -791,9 +805,11 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<Job>>>) {
         };
         inner.stats.in_flight.fetch_add(1, Ordering::AcqRel);
         inner.stats.queue_depth.fetch_sub(1, Ordering::AcqRel);
-        hls_obs::obs_gauge_add!(InFlight, 1);
-        hls_obs::obs_gauge_add!(QueueDepth, -1);
-        hls_obs::obs_hist!(ServeQueueWaitUs, job.enqueued.elapsed().as_micros() as u64);
+        let started = Instant::now();
+        inner
+            .stats
+            .queue_wait_us
+            .record(started.duration_since(job.enqueued).as_micros() as u64);
 
         let id = job.req.id;
         let trace = job.trace;
@@ -810,7 +826,6 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<Job>>>) {
         }));
         let mut resp = outcome.unwrap_or_else(|payload| {
             let msg = threaded_sched::panic_message(payload.as_ref());
-            hls_obs::obs_count!(ServePanics);
             hls_obs::obs_error!("serve", "request {id} (trace {trace:016x}) panicked: {msg}");
             // Post-mortem before the evidence scrolls away: the flight
             // recorder freezes the ring and counters as of the panic.
@@ -826,7 +841,6 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<Job>>>) {
         match &resp {
             Response::Accepted(_) => {
                 inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                hls_obs::obs_count!(ServeCompleted);
             }
             Response::Rejected(r) => {
                 let c = match r.kind {
@@ -837,13 +851,18 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<Job>>>) {
                     _ => &inner.stats.drain_rejects,
                 };
                 c.fetch_add(1, Ordering::Relaxed);
-                hls_obs::obs_count!(ServeRejected);
+                inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
             }
             Response::Stats(_) => {}
         }
+        // Recorded before the answer goes out, so a client that has
+        // its answer finds the request fully accounted in `STATS`.
+        inner
+            .stats
+            .request_us
+            .record(started.elapsed().as_micros() as u64);
         send_line(&writer, &resp);
         inner.stats.in_flight.fetch_sub(1, Ordering::AcqRel);
-        hls_obs::obs_gauge_add!(InFlight, -1);
     }
 }
 
@@ -899,8 +918,6 @@ fn handle(inner: &Inner, job: &Job) -> Response {
     // because the flow configuration is fixed per server instance.
     if !job.req.nocache {
         if let Some(a) = unpoisoned(inner.cache.lock()).lookup(hash, &graph) {
-            inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            hls_obs::obs_count!(CacheHits);
             return Response::Accepted(Accepted {
                 id,
                 rung: a.rung,

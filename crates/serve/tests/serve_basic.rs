@@ -39,8 +39,8 @@ fn schedules_a_graph_and_answers_from_the_cache_on_resubmission() {
     assert_eq!(second.lower_bound, first.lower_bound);
 
     let stats = server.shutdown(Duration::from_secs(5));
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.counter("cache_hits"), 1);
+    assert_eq!(stats.counter("serve_completed"), 2);
 }
 
 #[test]
@@ -77,7 +77,7 @@ fn eco_delta_resubmission_takes_the_replay_fast_path() {
     assert_eq!(cold.cache, CacheStatus::Miss);
 
     let stats = server.shutdown(Duration::from_secs(5));
-    assert_eq!(stats.eco_hits, 1);
+    assert_eq!(stats.counter("serve_eco_hits"), 1);
 }
 
 #[test]
@@ -179,8 +179,8 @@ fn overload_sheds_with_typed_retryable_rejections_and_answers_the_rest() {
     assert!(shed >= 1, "a 1-deep queue under a 12-burst must shed");
 
     let stats = server.shutdown(Duration::from_secs(10));
-    assert_eq!(stats.shed, u64::from(shed));
-    assert_eq!(stats.completed, u64::from(ok));
+    assert_eq!(stats.counter("serve_shed"), u64::from(shed));
+    assert_eq!(stats.counter("serve_completed"), u64::from(ok));
 }
 
 #[test]
@@ -207,8 +207,8 @@ fn drain_refuses_new_work_and_shutdown_reports_stats() {
     }
 
     let stats = server.shutdown(Duration::from_secs(5));
-    assert_eq!(stats.completed, 1);
-    assert!(stats.drain_rejects >= 1);
+    assert_eq!(stats.counter("serve_completed"), 1);
+    assert!(stats.counter("serve_drain_rejects") >= 1);
 }
 
 #[test]
