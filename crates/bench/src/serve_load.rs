@@ -131,7 +131,7 @@ fn serve_config(workers: usize) -> ServeConfig {
     };
     // Workers are the parallelism; a portfolio fanning out to every
     // core per request would just thrash under load.
-    cfg.flow.portfolio = Some(hls_search::PortfolioConfig {
+    cfg.flow.engine = hls_flow::Engine::Portfolio(hls_search::PortfolioConfig {
         threads: 2,
         ..Default::default()
     });

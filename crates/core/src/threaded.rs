@@ -90,8 +90,7 @@ type FullLabels = (Vec<u64>, Vec<u64>, Vec<u32>, Vec<u32>);
 /// inserts extend the numbering instead and never exhaust it.
 const GAP: u64 = 1 << 32;
 
-/// How a budgeted [`ThreadedScheduler::schedule_all_until`] /
-/// [`ThreadedScheduler::schedule_all_budgeted`] run ended.
+/// How a [`ThreadedScheduler::schedule_all_budgeted`] run ended.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RunOutcome {
     /// Every operation of the order was scheduled.
@@ -216,7 +215,7 @@ pub struct ThreadedScheduler {
     /// recomputes), so the cache is a running maximum — this makes
     /// [`ThreadedScheduler::diameter`] `O(1)`, cheap enough for the
     /// per-operation early-abort probes of
-    /// [`ThreadedScheduler::schedule_all_until`].
+    /// [`ThreadedScheduler::schedule_all_budgeted`].
     diam: u64,
     /// Running maximum of `sdist(a) − D(a) + ‖a→‖_G` over scheduled
     /// ops: a certified lower bound on the diameter any *completed*
@@ -403,7 +402,7 @@ impl ThreadedScheduler {
     /// `O(1)` — all terms are cached maxima.
     ///
     /// This is what the early-abort hook of
-    /// [`ThreadedScheduler::schedule_all_until`] reports: it lets a
+    /// [`ThreadedScheduler::schedule_all_budgeted`] reports: it lets a
     /// portfolio run prove it cannot beat an incumbent long before its
     /// prefix diameter says so.
     pub fn final_lower_bound(&self) -> u64 {
@@ -525,36 +524,20 @@ impl ThreadedScheduler {
     }
 
     /// Like [`ThreadedScheduler::schedule_all`], but with an
-    /// early-abort hook: after every scheduled operation, `abort` is
-    /// called with the current
+    /// early-abort hook and a cooperative [`hls_ir::Budget`].
+    ///
+    /// After every scheduled operation, `abort` is called with the
+    /// current
     /// [`final-diameter lower bound`](ThreadedScheduler::final_lower_bound);
-    /// returning `true` stops the run and reports how far it got.
+    /// returning `true` stops the run and reports how far it got. The
+    /// bound is monotone and certified, so the parallel portfolio
+    /// (`hls-search`) aborts a run as soon as it cannot beat a
+    /// completed rival without changing the result. The hook costs
+    /// `O(1)` per operation; pass `|_| false` for none.
     ///
-    /// This is the budget hook behind the parallel portfolio
-    /// scheduler (`hls-search`): the bound is monotone under
-    /// scheduling and certified (a completed extension of this state
-    /// can never beat it), so a run whose bound already rules out
-    /// beating a completed rival's diameter can abort without changing
-    /// the portfolio's result — the portfolio threads an atomic
-    /// incumbent into this callback and losing runs stop paying for
-    /// themselves. The hook is `O(1)` per operation on top of the
-    /// schedule itself.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SchedError`] encountered.
-    pub fn schedule_all_until(
-        &mut self,
-        order: impl IntoIterator<Item = OpId>,
-        abort: impl FnMut(u64) -> bool,
-    ) -> Result<RunOutcome, SchedError> {
-        self.schedule_all_budgeted(order, &hls_ir::Budget::NONE, abort)
-    }
-
-    /// The fully budgeted run: [`ThreadedScheduler::schedule_all_until`]
-    /// plus a cooperative [`hls_ir::Budget`]. The budget is checked
-    /// before *every* commit, so a run never overshoots its deadline
-    /// by more than the one commit in flight:
+    /// The budget ([`hls_ir::Budget::NONE`] for none) is checked before
+    /// *every* commit, so a run never overshoots its deadline by more
+    /// than the one commit in flight:
     ///
     /// * an already-expired budget commits nothing and returns
     ///   [`RunOutcome::DeadlineExpired`] with `scheduled: 0`;
@@ -2273,12 +2256,14 @@ mod tests {
     }
 
     #[test]
-    fn schedule_all_until_aborts_on_the_hook_and_reports_progress() {
+    fn schedule_all_budgeted_aborts_on_the_hook_and_reports_progress() {
         let (mut ts, v) = fig1_scheduler();
         // Abort as soon as the certified final-diameter bound reaches
         // 3 — with the graph-tail projection that happens well before
         // the prefix diameter itself does.
-        let outcome = ts.schedule_all_until(v, |bound| bound >= 3).unwrap();
+        let outcome = ts
+            .schedule_all_budgeted(v, &hls_ir::Budget::NONE, |bound| bound >= 3)
+            .unwrap();
         let RunOutcome::Aborted { scheduled } = outcome else {
             panic!("must abort: the full schedule reaches diameter 5");
         };
@@ -2289,7 +2274,7 @@ mod tests {
         // A hook that never fires degenerates to schedule_all.
         let (mut ts2, v2) = fig1_scheduler();
         assert_eq!(
-            ts2.schedule_all_until(v2, |_| false).unwrap(),
+            ts2.schedule_all_budgeted(v2, &hls_ir::Budget::NONE, |_| false).unwrap(),
             RunOutcome::Completed
         );
         assert_eq!(ts2.scheduled_count(), 7);

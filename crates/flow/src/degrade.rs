@@ -6,12 +6,13 @@
 //! strategies, each cheaper and more predictable than the last, and
 //! settles on the first rung that produces a validated design:
 //!
-//! 1. [`DegradeRung::Portfolio`] — the parallel portfolio with
-//!    feedback refinement, under half the budget;
-//! 2. [`DegradeRung::SingleMeta`] — the single configured meta order,
-//!    under three quarters of the (original) budget;
-//! 3. [`DegradeRung::ListSchedule`] — plain list scheduling, under
-//!    the full remaining budget;
+//! 1. [`DegradeRung::Portfolio`] — the configured [`Engine::Portfolio`]
+//!    (or the default one), under half the budget;
+//! 2. [`DegradeRung::SingleMeta`] — the configured engine if it is
+//!    [`Engine::Meta`] or [`Engine::Parallel`], otherwise
+//!    `Engine::Meta(ListBased)`, under three quarters of the budget;
+//! 3. [`DegradeRung::ListSchedule`] — rung 2's engine with its meta
+//!    order set to list scheduling, under the full budget;
 //! 4. [`DegradeRung::BoundOnly`] — no schedule at all: the certified
 //!    lower bound ([`ThreadedScheduler::schedule_lower_bound`]), which
 //!    needs no commits and therefore no budget.
@@ -29,16 +30,16 @@
 //! rung answers, and with what design, reproduces across thread
 //! counts (`crates/flow/tests/degradation.rs`).
 
-use crate::flow::{FlowConfig, FlowError, FlowOutcome};
-use hls_ir::PrecedenceGraph;
-use threaded_sched::{meta::MetaSchedule, ThreadedScheduler};
+use crate::flow::{Engine, FlowConfig, FlowError, FlowOutcome};
+use hls_ir::{Budget, PrecedenceGraph};
+use threaded_sched::{meta::MetaSchedule, ParallelConfig, ThreadedScheduler};
 
 /// One rung of the degradation ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DegradeRung {
     /// Parallel portfolio + feedback refinement (the full engine).
     Portfolio,
-    /// The single configured meta order.
+    /// The configured single-order engine (meta or parallel).
     SingleMeta,
     /// Plain list scheduling.
     ListSchedule,
@@ -68,19 +69,6 @@ impl DegradeRung {
             DegradeRung::ListSchedule => 2,
             DegradeRung::BoundOnly => 3,
         }
-    }
-
-    /// The rung with the given [`rank`](Self::rank), if any — the
-    /// inverse used when a rung tag crosses the serve wire format.
-    pub fn from_name(name: &str) -> Option<DegradeRung> {
-        [
-            DegradeRung::Portfolio,
-            DegradeRung::SingleMeta,
-            DegradeRung::ListSchedule,
-            DegradeRung::BoundOnly,
-        ]
-        .into_iter()
-        .find(|r| r.name() == name)
     }
 }
 
@@ -151,35 +139,12 @@ pub fn run_flow_degraded(
 ) -> Result<DegradedOutcome, FlowError> {
     let mut degraded = Vec::new();
 
-    // Rung configs: each swaps only the scheduling strategy and its
-    // budget slice; the rest of the flow (spilling, placement, FSMD)
-    // is identical, so a lower rung's answer is a complete design.
-    let rungs = [
-        (DegradeRung::Portfolio, {
-            let mut c = config.clone();
-            c.portfolio = Some(config.portfolio.clone().unwrap_or_default());
-            c.budget = config.budget.slice(1, 2);
-            c
-        }),
-        (DegradeRung::SingleMeta, {
-            let mut c = config.clone();
-            c.portfolio = None;
-            c.budget = config.budget.slice(3, 4);
-            c
-        }),
-        (DegradeRung::ListSchedule, {
-            let mut c = config.clone();
-            c.portfolio = None;
-            c.meta = MetaSchedule::ListBased;
-            c.budget = config.budget;
-            c
-        }),
-    ];
-
-    for (rung, rung_cfg) in rungs {
+    for (rung, engine, budget) in schedule_rungs(config) {
         let attempt = {
             let _span = hls_obs::obs_span!(DegradeRung, rung.name(), u64::from(rung.rank()));
-            crate::run_flow(graph.clone(), &rung_cfg)
+            crate::flow::contained(|| {
+                crate::flow::run_engine(graph.clone(), config, &engine, &budget)
+            })
         };
         match attempt {
             Ok(mut outcome) => {
@@ -221,6 +186,31 @@ pub fn run_flow_degraded(
         lower_bound,
         degraded,
     })
+}
+
+/// Rungs 1–3 for `config` with their engines and budget slices (see
+/// the [module docs](self)).
+fn schedule_rungs(config: &FlowConfig) -> [(DegradeRung, Engine, Budget); 3] {
+    let (portfolio, single) = match &config.engine {
+        Engine::Portfolio(p) => (p.clone(), Engine::Meta(MetaSchedule::ListBased)),
+        engine => (hls_search::PortfolioConfig::default(), engine.clone()),
+    };
+    let list = match &single {
+        Engine::Parallel(p) => Engine::Parallel(ParallelConfig {
+            meta: MetaSchedule::ListBased,
+            ..p.clone()
+        }),
+        _ => Engine::Meta(MetaSchedule::ListBased),
+    };
+    [
+        (
+            DegradeRung::Portfolio,
+            Engine::Portfolio(portfolio),
+            config.budget.slice(1, 2),
+        ),
+        (DegradeRung::SingleMeta, single, config.budget.slice(3, 4)),
+        (DegradeRung::ListSchedule, list, config.budget),
+    ]
 }
 
 /// Counts a ladder demotion by typed reason and drops a ring marker
@@ -297,6 +287,72 @@ mod tests {
         let cfg = base_config();
         let err = run_flow_degraded(&bench_graphs::mac_loop(), &cfg).unwrap_err();
         assert_eq!(err, FlowError::NeedsPipeline);
+    }
+
+    /// The rung → engine mapping for each configured engine: rung 1
+    /// is the configured (or default) portfolio, rung 2 the configured
+    /// single-order engine (list-based meta under a portfolio), rung 3
+    /// rung 2 with list-based meta; budget slices ½, ¾, 1.
+    #[test]
+    fn rungs_map_each_configured_engine() {
+        fn shape(e: &Engine) -> (&'static str, Option<MetaSchedule>, usize) {
+            match e {
+                Engine::Meta(m) => ("meta", Some(*m), 0),
+                Engine::Portfolio(p) => ("portfolio", None, p.threads),
+                Engine::Parallel(p) => ("parallel", Some(p.meta), p.parts),
+            }
+        }
+        let budget = Budget::steps(400);
+        let with = |engine| FlowConfig {
+            engine,
+            budget,
+            ..base_config()
+        };
+        let port = hls_search::PortfolioConfig {
+            threads: 3,
+            ..Default::default()
+        };
+        let par = ParallelConfig {
+            parts: 5,
+            meta: MetaSchedule::Dfs,
+            ..Default::default()
+        };
+        let default_threads = hls_search::PortfolioConfig::default().threads;
+        let cases = [
+            (
+                with(Engine::Meta(MetaSchedule::PathBased)),
+                [
+                    ("portfolio", None, default_threads),
+                    ("meta", Some(MetaSchedule::PathBased), 0),
+                    ("meta", Some(MetaSchedule::ListBased), 0),
+                ],
+            ),
+            (
+                with(Engine::Portfolio(port)),
+                [
+                    ("portfolio", None, 3),
+                    ("meta", Some(MetaSchedule::ListBased), 0),
+                    ("meta", Some(MetaSchedule::ListBased), 0),
+                ],
+            ),
+            (
+                with(Engine::Parallel(par)),
+                [
+                    ("portfolio", None, default_threads),
+                    ("parallel", Some(MetaSchedule::Dfs), 5),
+                    ("parallel", Some(MetaSchedule::ListBased), 5),
+                ],
+            ),
+        ];
+        for (cfg, want) in cases {
+            let rungs = schedule_rungs(&cfg);
+            let got: Vec<_> = rungs.iter().map(|(_, e, _)| shape(e)).collect();
+            assert_eq!(got, want, "{:?}", cfg.engine);
+            let names: Vec<_> = rungs.iter().map(|(r, _, _)| r.name()).collect();
+            assert_eq!(names, ["portfolio", "single-meta", "list-schedule"]);
+            let budgets: Vec<_> = rungs.iter().map(|(_, _, b)| *b).collect();
+            assert_eq!(budgets, [budget.slice(1, 2), budget.slice(3, 4), budget]);
+        }
     }
 
     #[test]

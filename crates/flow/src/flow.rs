@@ -11,6 +11,30 @@ use threaded_sched::{meta::MetaSchedule, refine, SchedError, ThreadedScheduler};
 use std::error::Error;
 use std::fmt;
 
+/// The scheduler of the flow's step 1. Each engine hands a live
+/// [`ThreadedScheduler`] to the rest of the flow.
+#[derive(Clone, Debug)]
+pub enum Engine {
+    /// One meta order feeds Algorithm 1, stopping within one commit of
+    /// [`FlowConfig::budget`]'s expiry.
+    Meta(MetaSchedule),
+    /// The parallel portfolio + feedback refinement
+    /// ([`hls_search::run_portfolio`]), deterministic whatever its
+    /// thread count, under its own budget tightened by
+    /// [`FlowConfig::budget`].
+    Portfolio(hls_search::PortfolioConfig),
+    /// The partition-parallel engine
+    /// ([`threaded_sched::ParallelScheduler`]) with the config's own
+    /// `meta` in every block, materialised back into a live scheduler.
+    /// Behaviors of at most `sequential_cutoff` ops, and pipelined
+    /// kernels, run as `Engine::Meta` of that `meta` instead.
+    ///
+    /// [`FlowConfig::budget`] does **not** reach the partitioned run:
+    /// neither the blocks nor the stitch stop on expiry. Budgeting it
+    /// needs new engine code and is not implemented.
+    Parallel(threaded_sched::ParallelConfig),
+}
+
 /// Configuration of the end-to-end flow.
 #[derive(Clone, Debug)]
 pub struct FlowConfig {
@@ -19,22 +43,15 @@ pub struct FlowConfig {
     pub resources: ResourceSet,
     /// Register-file size; `None` disables spilling.
     pub register_budget: Option<usize>,
-    /// Operation feed order for the soft scheduler. Ignored when
-    /// [`FlowConfig::portfolio`] is set.
-    pub meta: MetaSchedule,
-    /// When set, scheduling runs the parallel portfolio + feedback
-    /// refinement ([`hls_search::run_portfolio`]) instead of the
-    /// single `meta` order, and the flow proceeds from the portfolio
-    /// winner's state. The result is deterministic for a fixed
-    /// configuration regardless of the portfolio's thread count.
-    pub portfolio: Option<hls_search::PortfolioConfig>,
+    /// The scheduler of step 1.
+    pub engine: Engine,
     /// When set, the behavior is treated as a *loop kernel*: the
     /// modulo portfolio ([`hls_search::run_modulo_portfolio`]) derives
     /// a loop-pipelined schedule first — achieved II, certified MII
     /// and fill latency land in [`FlowReport::pipeline`], the winning
     /// [`hls_ir::ModuloSchedule`] in [`FlowOutcome::modulo`] — and the
-    /// rest of the flow (registers, placement, FSMD) proceeds on the
-    /// one-iteration [`kernel DAG`](PrecedenceGraph::kernel_dag).
+    /// rest of the flow (engine, registers, placement, FSMD) proceeds
+    /// on the one-iteration [`kernel DAG`](PrecedenceGraph::kernel_dag).
     /// Behaviors without loop-carried edges are legal too (the kernel
     /// DAG is then the behavior itself and the II is purely
     /// resource-bound). `None` keeps the acyclic-only flow: a graph
@@ -43,23 +60,6 @@ pub struct FlowConfig {
     /// silently misread inter-iteration dependencies as
     /// same-iteration ones).
     pub pipeline: Option<hls_search::PipelineConfig>,
-    /// When set, the initial soft schedule of a *large* behavior is
-    /// built by the partition-parallel engine
-    /// ([`threaded_sched::ParallelScheduler`]): balanced min-cut
-    /// partition, per-block scheduling on worker threads, seam stitch,
-    /// then materialisation back into a live [`ThreadedScheduler`] so
-    /// every downstream phase (spilling, φ resolution, wire-delay
-    /// absorption, ECO) works unchanged. The seat adopts
-    /// [`FlowConfig::meta`] as its block meta order, and behaviors at
-    /// or below the config's `sequential_cutoff` take the flow's
-    /// ordinary sequential branch (budget included) — small flows are
-    /// bit-identical with or without this seat. Ignored when
-    /// [`FlowConfig::portfolio`] or [`FlowConfig::pipeline`] is set
-    /// (those seats own scheduling), and not threaded through the
-    /// degradation ladder. The flow budget is not enforced inside the
-    /// partitioned run — this seat *is* the fast path for graphs big
-    /// enough to need a budget.
-    pub parallel: Option<threaded_sched::parallel::ParallelConfig>,
     /// Floorplan grid (width, height); must fit `resources.k()` cells.
     pub grid: (usize, usize),
     /// Interconnect delay model.
@@ -68,12 +68,11 @@ pub struct FlowConfig {
     pub place: PlaceConfig,
     /// Delay model (for φ-resolution move delay).
     pub delays: DelayModel,
-    /// Budget of the scheduling phases (the portfolio race, the modulo
-    /// portfolio, or the single-meta run). Combined pointwise
-    /// ([`hls_ir::Budget::tighter`]) with any budget already carried
-    /// by the portfolio/pipeline seats. An expired budget surfaces as
-    /// [`FlowError::Timeout`]; [`crate::run_flow_degraded`] instead
-    /// walks the degradation ladder. The default is unlimited.
+    /// Budget of the modulo portfolio and the engine (but see
+    /// [`Engine::Parallel`]), tightened by any budget their own configs
+    /// carry. An expired budget surfaces as [`FlowError::Timeout`];
+    /// [`crate::run_flow_degraded`] instead walks the degradation
+    /// ladder. The default is unlimited.
     pub budget: hls_ir::Budget,
 }
 
@@ -82,10 +81,8 @@ impl Default for FlowConfig {
         FlowConfig {
             resources: ResourceSet::classic(2, 1).with(ResourceClass::MemPort, 1),
             register_budget: None,
-            meta: MetaSchedule::ListBased,
-            portfolio: None,
+            engine: Engine::Meta(MetaSchedule::ListBased),
             pipeline: None,
-            parallel: None,
             grid: (2, 2),
             wire_model: WireModel::default(),
             place: PlaceConfig::default(),
@@ -93,6 +90,34 @@ impl Default for FlowConfig {
             budget: hls_ir::Budget::NONE,
         }
     }
+}
+
+/// `config.meta` reads the meta order of `config.engine`'s sequential
+/// path (list scheduling for the portfolio) under the field name it
+/// had before [`Engine`], for code that replays that path by hand.
+impl std::ops::Deref for FlowConfig {
+    type Target = SequentialMeta;
+
+    fn deref(&self) -> &SequentialMeta {
+        let meta = match &self.engine {
+            Engine::Meta(meta) | Engine::Parallel(threaded_sched::ParallelConfig { meta, .. }) => {
+                meta
+            }
+            Engine::Portfolio(_) => &MetaSchedule::ListBased,
+        };
+        // SAFETY: `SequentialMeta` is `repr(transparent)` over
+        // `MetaSchedule`, so the two references have the same layout
+        // and the borrow keeps `self`'s lifetime.
+        unsafe { &*(meta as *const MetaSchedule).cast::<SequentialMeta>() }
+    }
+}
+
+/// The meta order of an engine's sequential path as a read-only
+/// field; the `Deref` target of [`FlowConfig`].
+#[repr(transparent)]
+pub struct SequentialMeta {
+    /// The meta order.
+    pub meta: MetaSchedule,
 }
 
 /// Loop-pipelining quantities reported when [`FlowConfig::pipeline`]
@@ -110,7 +135,7 @@ pub struct PipelineReport {
 }
 
 /// Quantities reported by the flow.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlowReport {
     /// Loop-pipelining results, when the pipeline seat was configured.
     pub pipeline: Option<PipelineReport>,
@@ -259,12 +284,17 @@ pub fn run_flow_dfg(text: &str, config: &FlowConfig) -> Result<FlowOutcome, Flow
 ///
 /// Any [`FlowError`].
 pub fn run_flow(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOutcome, FlowError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_flow_inner(graph, config)))
-        .unwrap_or_else(|payload| {
-            Err(FlowError::Poisoned(threaded_sched::panic_message(
-                payload.as_ref(),
-            )))
-        })
+    contained(|| run_engine(graph, config, &config.engine, &config.budget))
+}
+
+/// Runs `f`, returning anything unwinding out of it as
+/// [`FlowError::Poisoned`].
+pub(crate) fn contained<T>(f: impl FnOnce() -> Result<T, FlowError>) -> Result<T, FlowError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(FlowError::Poisoned(threaded_sched::panic_message(
+            payload.as_ref(),
+        )))
+    })
 }
 
 /// A finished design an ECO resubmission can extend incrementally:
@@ -327,14 +357,7 @@ pub fn eco_flow(
     config: &FlowConfig,
     budget: &hls_ir::Budget,
 ) -> Result<(FlowOutcome, EcoBase), FlowError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        eco_flow_inner(base, target, config, budget)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(FlowError::Poisoned(threaded_sched::panic_message(
-            payload.as_ref(),
-        )))
-    })
+    contained(|| eco_flow_inner(base, target, config, budget))
 }
 
 fn eco_flow_inner(
@@ -382,57 +405,40 @@ fn eco_flow_inner(
     }
     let wirelength = base.floorplan.wirelength(&matrix);
 
-    // Extract, validate, build — identical to the cold flow's step 6.
-    let schedule = ts.extract_hard();
-    sched_check::validate(ts.graph(), &config.resources, &schedule)
-        .map_err(|e| FlowError::Invalid(e.to_string()))?;
-    let final_states = ts.diameter();
-    let ls = lifetimes::lifetimes(ts.graph(), &schedule)
-        .map_err(|e| FlowError::Lifetime(e.to_string()))?;
-    let registers = left_edge::allocate(&ls);
-    let fsmd = crate::Fsmd::build(ts.graph(), &schedule, &registers, &config.resources);
-
     let report = FlowReport {
-        pipeline: None,
         initial_states,
-        spills: 0,
-        phis_to_moves: 0,
-        phis_voided: 0,
         wire_delays,
-        final_states,
-        registers: registers.register_count(),
         wirelength,
-        rung: None,
+        ..FlowReport::default()
     };
+    let outcome = extract_and_build(ts, base.floorplan, None, report, config)?;
     let next_base = EcoBase {
-        scheduler: ts.clone(),
+        scheduler: outcome.scheduler.clone(),
         map: base.map,
-        floorplan: base.floorplan.clone(),
-    };
-    let outcome = FlowOutcome {
-        modulo: None,
-        scheduler: ts,
-        schedule,
-        registers,
-        floorplan: base.floorplan,
-        fsmd,
-        report,
+        floorplan: outcome.floorplan.clone(),
     };
     Ok((outcome, next_base))
 }
 
-fn run_flow_inner(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOutcome, FlowError> {
+/// The flow scheduling with `engine` under `budget` in place of
+/// `config.engine` under `config.budget`: each degradation-ladder
+/// rung's entry. Panics unwind; wrap calls in [`contained`].
+pub(crate) fn run_engine(
+    graph: PrecedenceGraph,
+    config: &FlowConfig,
+    engine: &Engine,
+    budget: &hls_ir::Budget,
+) -> Result<FlowOutcome, FlowError> {
     // 0. Loop pipelining: modulo-schedule the kernel (acyclic
     // behaviors are kernels without recurrences), then hand the
-    // one-iteration kernel DAG to the rest of the flow. Without the
-    // pipeline seat, a graph with loop edges fails scheduling
-    // validation below, exactly as before.
+    // one-iteration kernel DAG to the rest of the flow. Without
+    // pipelining, a graph with loop edges is rejected.
     let mut pipeline = None;
     let mut modulo = None;
     let graph = match &config.pipeline {
         Some(pcfg) => {
             let pcfg = hls_search::PipelineConfig {
-                budget: pcfg.budget.tighter(&config.budget),
+                budget: pcfg.budget.tighter(budget),
                 ..pcfg.clone()
             };
             let out = hls_search::run_modulo_portfolio(&graph, &config.resources, &pcfg)?;
@@ -452,34 +458,29 @@ fn run_flow_inner(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOut
         }
     };
 
-    // 1. Soft scheduling — a single meta order, the parallel
-    // portfolio + feedback refinement, or (for large behaviors) the
-    // partition-parallel engine materialised back into a live state.
-    // The meta/portfolio paths honour the flow budget and stop within
-    // one commit of expiry; the partitioned path is the fast path and
-    // runs unbudgeted (see [`FlowConfig::parallel`]).
+    // 1. Soft scheduling by the configured engine.
     let _sched_span = hls_obs::obs_span!(FlowSchedule, "", graph.len() as u64);
-    let ts = match (&config.portfolio, &config.parallel) {
-        (Some(pcfg), _) => {
+    let ts = match engine {
+        Engine::Portfolio(pcfg) => {
             let pcfg = hls_search::PortfolioConfig {
-                budget: pcfg.budget.tighter(&config.budget),
+                budget: pcfg.budget.tighter(budget),
                 ..pcfg.clone()
             };
             hls_search::run_portfolio(&graph, &config.resources, &pcfg)?.winner
         }
-        (None, Some(par)) if pipeline.is_none() && graph.len() > par.sequential_cutoff => {
-            // The seat adopts the flow's meta order so the
-            // below-cutoff path is bit-identical to the plain flow.
-            let par = threaded_sched::ParallelConfig { meta: config.meta, ..par.clone() };
-            let ps =
-                threaded_sched::ParallelScheduler::new(graph, config.resources.clone(), par)?;
+        Engine::Parallel(par) if pipeline.is_none() && graph.len() > par.sequential_cutoff => {
+            let ps = threaded_sched::ParallelScheduler::new(
+                graph,
+                config.resources.clone(),
+                par.clone(),
+            )?;
             let run = ps.run()?;
             ps.materialize(&run)?
         }
-        _ => {
-            let order = config.meta.order(&graph, &config.resources)?;
+        Engine::Meta(meta) | Engine::Parallel(threaded_sched::ParallelConfig { meta, .. }) => {
+            let order = meta.order(&graph, &config.resources)?;
             let mut ts = ThreadedScheduler::new(graph, config.resources.clone())?;
-            match ts.schedule_all_budgeted(order, &config.budget, |_| false)? {
+            match ts.schedule_all_budgeted(order, budget, |_| false)? {
                 threaded_sched::RunOutcome::DeadlineExpired { .. } => {
                     return Err(FlowError::Timeout)
                 }
@@ -491,10 +492,9 @@ fn run_flow_inner(graph: PrecedenceGraph, config: &FlowConfig) -> Result<FlowOut
     finish_flow(ts, pipeline, modulo, config)
 }
 
-/// The post-scheduling phases (spilling, φ resolution, placement,
-/// extraction, FSMD) — shared by [`run_flow`] and the degradation
-/// ladder, which swaps only the scheduling rung.
-pub(crate) fn finish_flow(
+/// The post-scheduling phases of [`run_flow`]: spilling, φ
+/// resolution, placement, extraction and the FSMD.
+fn finish_flow(
     mut ts: ThreadedScheduler,
     pipeline: Option<PipelineReport>,
     modulo: Option<hls_ir::ModuloSchedule>,
@@ -590,15 +590,6 @@ pub(crate) fn finish_flow(
 
     // 6. Extract, validate, build the FSMD.
     let _extract_span = hls_obs::obs_span!(FlowExtract);
-    let schedule = ts.extract_hard();
-    sched_check::validate(ts.graph(), &config.resources, &schedule)
-        .map_err(|e| FlowError::Invalid(e.to_string()))?;
-    let final_states = ts.diameter();
-    let ls = lifetimes::lifetimes(ts.graph(), &schedule)
-        .map_err(|e| FlowError::Lifetime(e.to_string()))?;
-    let registers = left_edge::allocate(&ls);
-    let fsmd = crate::Fsmd::build(ts.graph(), &schedule, &registers, &config.resources);
-
     let report = FlowReport {
         pipeline,
         initial_states,
@@ -606,11 +597,31 @@ pub(crate) fn finish_flow(
         phis_to_moves,
         phis_voided,
         wire_delays,
-        final_states,
-        registers: registers.register_count(),
         wirelength,
-        rung: None,
+        ..FlowReport::default()
     };
+    extract_and_build(ts, floorplan, modulo, report, config)
+}
+
+/// The tail of the cold flow and of [`eco_flow`]: extract and validate
+/// the hard schedule, allocate registers, build the FSMD, and fill in
+/// `report`'s `final_states` and `registers`.
+fn extract_and_build(
+    ts: ThreadedScheduler,
+    floorplan: Floorplan,
+    modulo: Option<hls_ir::ModuloSchedule>,
+    mut report: FlowReport,
+    config: &FlowConfig,
+) -> Result<FlowOutcome, FlowError> {
+    let schedule = ts.extract_hard();
+    sched_check::validate(ts.graph(), &config.resources, &schedule)
+        .map_err(|e| FlowError::Invalid(e.to_string()))?;
+    let ls = lifetimes::lifetimes(ts.graph(), &schedule)
+        .map_err(|e| FlowError::Lifetime(e.to_string()))?;
+    let registers = left_edge::allocate(&ls);
+    let fsmd = crate::Fsmd::build(ts.graph(), &schedule, &registers, &config.resources);
+    report.final_states = ts.diameter();
+    report.registers = registers.register_count();
     Ok(FlowOutcome {
         modulo,
         scheduler: ts,
@@ -663,20 +674,25 @@ mod tests {
 
     #[test]
     fn parallel_seat_is_identical_below_cutoff_and_valid_when_forced() {
-        // Below the cutoff the parallel seat takes the sequential path
-        // inside the parallel engine: the flow is bit-identical.
-        let seq = run_flow(bench_graphs::ewf(), &FlowConfig::default()).unwrap();
-        let cfg = FlowConfig {
-            parallel: Some(threaded_sched::ParallelConfig::default()),
+        // Below the cutoff the parallel engine runs its own meta order
+        // sequentially: the flow is bit-identical to that meta engine.
+        let par = threaded_sched::ParallelConfig::default();
+        let seq_cfg = FlowConfig {
+            engine: Engine::Meta(par.meta),
             ..FlowConfig::default()
         };
-        let par = run_flow(bench_graphs::ewf(), &cfg).unwrap();
-        assert_eq!(par.report, seq.report);
+        let seq = run_flow(bench_graphs::ewf(), &seq_cfg).unwrap();
+        let cfg = FlowConfig {
+            engine: Engine::Parallel(par),
+            ..FlowConfig::default()
+        };
+        let out = run_flow(bench_graphs::ewf(), &cfg).unwrap();
+        assert_eq!(out.report, seq.report);
 
         // Forcing the partition path still yields a flow-worthy state:
         // every downstream phase ran and the outcome validates.
         let forced = FlowConfig {
-            parallel: Some(threaded_sched::ParallelConfig {
+            engine: Engine::Parallel(threaded_sched::ParallelConfig {
                 parts: 4,
                 sequential_cutoff: 0,
                 ..threaded_sched::ParallelConfig::default()
@@ -689,31 +705,36 @@ mod tests {
         assert!(out.report.final_states >= out.report.initial_states);
     }
 
-    /// The parallel-seat dispatch at *exactly* `sequential_cutoff`
-    /// (ISSUE 9 satellite): the seat engages only for `len > cutoff`,
-    /// so behaviors of `cutoff - 1` and exactly `cutoff` ops must be
-    /// bit-identical to the plain flow — full report and hard
-    /// schedule — while `cutoff + 1` partitions and still validates.
-    /// (The 8191/8192/8193 sizes against the default 8192 cutoff are
-    /// pinned engine-level in `threaded-sched`'s `parallel_golden`
-    /// suite; the flow-level dispatch is cutoff-relative, tested here
-    /// at a CI-sized cutoff.)
+    /// The parallel engine's dispatch at *exactly* `sequential_cutoff`:
+    /// the partitioned run engages only for `len > cutoff`, so
+    /// behaviors of `cutoff - 1` and exactly `cutoff` ops must be
+    /// bit-identical to `Engine::Meta` of the parallel config's meta —
+    /// full report and hard schedule — while `cutoff + 1` partitions
+    /// and still validates. (The 8191/8192/8193 sizes against the
+    /// default 8192 cutoff are pinned engine-level in
+    /// `threaded-sched`'s `parallel_golden` suite; the flow-level
+    /// dispatch is cutoff-relative, tested here at a CI-sized cutoff.)
     #[test]
     fn parallel_seat_dispatch_at_exact_cutoff() {
         let cutoff = 60usize;
+        let par = threaded_sched::ParallelConfig {
+            sequential_cutoff: cutoff,
+            ..threaded_sched::ParallelConfig::default()
+        };
+        let seq_cfg = FlowConfig {
+            engine: Engine::Meta(par.meta),
+            ..FlowConfig::default()
+        };
+        let cfg = FlowConfig {
+            engine: Engine::Parallel(par),
+            ..FlowConfig::default()
+        };
         for ops in [cutoff - 1, cutoff, cutoff + 1] {
             let g = hls_ir::generate::layered_dag(
                 0x8192 ^ ops as u64,
                 &hls_ir::generate::LayeredConfig { ops, ..Default::default() },
             );
-            let seq = run_flow(g.clone(), &FlowConfig::default()).unwrap();
-            let cfg = FlowConfig {
-                parallel: Some(threaded_sched::ParallelConfig {
-                    sequential_cutoff: cutoff,
-                    ..threaded_sched::ParallelConfig::default()
-                }),
-                ..FlowConfig::default()
-            };
+            let seq = run_flow(g.clone(), &seq_cfg).unwrap();
             let par = run_flow(g, &cfg).unwrap();
             par.scheduler.check_invariants().unwrap();
             sched_check::validate(par.scheduler.graph(), &cfg.resources, &par.schedule)
@@ -735,6 +756,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn config_meta_reads_the_engines_sequential_order() {
+        let with = |engine| FlowConfig {
+            engine,
+            ..FlowConfig::default()
+        };
+        assert_eq!(FlowConfig::default().meta, MetaSchedule::ListBased);
+        assert_eq!(
+            with(Engine::Meta(MetaSchedule::Random(7))).meta,
+            MetaSchedule::Random(7)
+        );
+        let par = threaded_sched::ParallelConfig::default();
+        assert_eq!(with(Engine::Parallel(par.clone())).meta, par.meta);
+        let port = hls_search::PortfolioConfig::default();
+        assert_eq!(with(Engine::Portfolio(port)).meta, MetaSchedule::ListBased);
     }
 
     #[test]
@@ -817,7 +855,7 @@ mod tests {
     fn portfolio_flow_matches_or_beats_the_single_meta_flow() {
         let single = run_flow(bench_graphs::ewf(), &FlowConfig::default()).unwrap();
         let cfg = FlowConfig {
-            portfolio: Some(hls_search::PortfolioConfig {
+            engine: Engine::Portfolio(hls_search::PortfolioConfig {
                 threads: 2,
                 ..hls_search::PortfolioConfig::default()
             }),

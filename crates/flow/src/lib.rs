@@ -10,7 +10,7 @@
 //!
 //! Pipeline ([`run_flow`] / [`run_flow_source`]):
 //!
-//! 1. threaded (soft) scheduling under a meta schedule;
+//! 1. threaded (soft) scheduling by the configured [`Engine`];
 //! 2. register allocation (left-edge), spilling until the register
 //!    budget fits — spills are *absorbed* by the soft schedule;
 //! 3. φ resolution: same-register φs vanish, others become moves;
@@ -32,8 +32,8 @@ pub use degrade::{
     run_flow_degraded, DegradeReason, DegradeRung, DegradeStep, DegradedOutcome,
 };
 pub use flow::{
-    eco_flow, run_flow, run_flow_dfg, run_flow_source, EcoBase, FlowConfig, FlowError,
-    FlowOutcome, FlowReport, PipelineReport,
+    eco_flow, run_flow, run_flow_dfg, run_flow_source, EcoBase, Engine, FlowConfig, FlowError,
+    FlowOutcome, FlowReport, PipelineReport, SequentialMeta,
 };
 pub use hls_phys::Floorplan;
 pub use fsmd::{Fsmd, MicroOp};

@@ -45,15 +45,15 @@ fn mixed_deadlines_under_concurrency_degrade_honestly_and_monotonically() {
                                     assert_ne!(out.rung, DegradeRung::BoundOnly);
                                     flow.scheduler.check_invariants().unwrap();
                                     assert!(flow.report.final_states >= out.lower_bound);
+                                    // The report names the answering
+                                    // rung (what the serve layer sends).
+                                    assert_eq!(
+                                        flow.report.rung,
+                                        Some(out.rung.name()),
+                                        "round {round}: report rung"
+                                    );
                                 }
                             }
-                            // The wire tag round-trips (what the serve
-                            // layer sends).
-                            assert_eq!(
-                                DegradeRung::from_name(out.rung.name()),
-                                Some(out.rung),
-                                "round {round}: rung tag must round-trip"
-                            );
                             results.lock().unwrap().entry(q).or_default().push(out.rung);
                         }
                         // A typed error is an acceptable answer shape —

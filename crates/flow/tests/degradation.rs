@@ -7,7 +7,7 @@
 //! clocks are the only nondeterministic input, and a step quota
 //! removes them.
 
-use hls_flow::{run_flow_degraded, DegradeReason, DegradeRung, FlowConfig};
+use hls_flow::{run_flow_degraded, DegradeReason, DegradeRung, Engine, FlowConfig};
 use hls_ir::{bench_graphs, Budget};
 
 /// Everything observable about a degraded run, for equality.
@@ -21,7 +21,7 @@ struct Fingerprint {
 
 fn fingerprint(quota: u64, threads: usize) -> Fingerprint {
     let cfg = FlowConfig {
-        portfolio: Some(hls_search::PortfolioConfig {
+        engine: Engine::Portfolio(hls_search::PortfolioConfig {
             threads,
             ..Default::default()
         }),

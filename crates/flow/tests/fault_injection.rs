@@ -12,7 +12,8 @@
 //! isolates them from every other test process.
 
 use hls_flow::{
-    run_flow, run_flow_degraded, run_flow_dfg, DegradeRung, FlowConfig, FlowError, FlowOutcome,
+    run_flow, run_flow_degraded, run_flow_dfg, DegradeRung, Engine, FlowConfig, FlowError,
+    FlowOutcome,
 };
 use hls_ir::faultinject::{arm, mutate_bytes, FaultPlan};
 use hls_ir::{bench_graphs, textfmt, Budget};
@@ -50,7 +51,7 @@ fn resources() -> hls_ir::ResourceSet {
 
 fn portfolio_config(budget: Budget) -> FlowConfig {
     FlowConfig {
-        portfolio: Some(hls_search::PortfolioConfig {
+        engine: Engine::Portfolio(hls_search::PortfolioConfig {
             threads: 2,
             ..Default::default()
         }),

@@ -15,7 +15,7 @@
 //!   The runs share an atomic *incumbent* — the best `(diameter,
 //!   candidate)` pair completed so far, packed into one `u64` — and
 //!   every run probes it after each scheduled operation through the
-//!   early-abort hook of `ThreadedScheduler::schedule_all_until`.
+//!   early-abort hook of `ThreadedScheduler::schedule_all_budgeted`.
 //!   Because the state diameter is monotone under scheduling
 //!   (Lemma 4), a run whose prefix diameter already rules out beating
 //!   the incumbent can abort without changing the result; the packed

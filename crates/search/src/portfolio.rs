@@ -8,7 +8,7 @@
 //! — packed as `diameter << 16 | slot` — over all *completed* runs,
 //! maintained with `fetch_min`. Each run probes the incumbent after
 //! every scheduled operation (the early-abort hook of
-//! [`ThreadedScheduler::schedule_all_until`]) and aborts as soon as
+//! [`ThreadedScheduler::schedule_all_budgeted`]) and aborts as soon as
 //! `pack(prefix_diameter, slot) > incumbent`:
 //!
 //! * if its prefix diameter already *exceeds* the incumbent diameter

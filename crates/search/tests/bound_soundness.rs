@@ -85,7 +85,7 @@ proptest! {
         let order = MetaSchedule::Topological.order(&g, &r).unwrap();
         let mut ts = ThreadedScheduler::new(g.clone(), r.clone()).unwrap();
         let mut probes = Vec::new();
-        ts.schedule_all_until(order.iter().copied(), |bound| {
+        ts.schedule_all_budgeted(order.iter().copied(), &hls_ir::Budget::NONE, |bound| {
             probes.push(bound);
             false
         }).unwrap();

@@ -2,7 +2,7 @@
 //! physical design -> FSMD, exercised as one pipeline.
 
 use soft_hls::alloc::{left_edge, lifetimes};
-use soft_hls::flow::{run_flow, run_flow_source, FlowConfig};
+use soft_hls::flow::{run_flow, run_flow_source, Engine, FlowConfig};
 use soft_hls::ir::{bench_graphs, generate, DelayModel, OpKind, ResourceClass, ResourceSet};
 use soft_hls::lang::compile;
 use soft_hls::phys::WireModel;
@@ -148,7 +148,7 @@ fn portfolio_scheduled_flow_produces_consistent_hardware() {
         resources: ResourceSet::classic(2, 2).with(ResourceClass::MemPort, 1),
         register_budget: Some(4),
         grid: (3, 2),
-        portfolio: Some(PortfolioConfig {
+        engine: Engine::Portfolio(PortfolioConfig {
             threads: 2,
             ..PortfolioConfig::default()
         }),
