@@ -132,7 +132,7 @@ pub struct ScalePoint {
     pub diameter: u64,
     /// Peak heap growth (bytes) while constructing and running the
     /// optimized scheduler — the memory-scaling column. 0 unless the
-    /// process installed [`crate::mem::CountingAlloc`].
+    /// process installed and armed [`crate::mem::CountingAlloc`].
     pub peak_bytes: u64,
 }
 
@@ -181,7 +181,7 @@ pub fn scaling_sweep(sizes: &[usize], reference_cutoff: usize) -> Vec<ScalePoint
             let t0 = Instant::now();
             ts.schedule_all(order.iter().copied()).expect("schedulable");
             let opt_us = t0.elapsed().as_micros();
-            let peak_bytes = crate::mem::peak_bytes().saturating_sub(mem_base);
+            let peak_bytes = (crate::mem::peak_bytes() - mem_base).max(0) as u64;
             let diameter = ts.diameter();
 
             let ref_us = (n <= reference_cutoff).then(|| {

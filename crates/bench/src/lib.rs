@@ -18,7 +18,7 @@
 //!   the certified `MII = max(ResMII, RecMII)` across loop kernels ×
 //!   resource allocations, with the per-cell gap and wall time;
 //! * [`mem`] — the byte-counting global allocator behind the memory
-//!   column of the scaling study;
+//!   column of the scaling study (armed only by `bench scaling`);
 //! * [`microbench`] — hot-path micro-benchmarks (BENCH_7): `select`
 //!   and `commit` per-op cost, `ReachIndex` probe throughput, and the
 //!   word-parallel extremum kernels vs their scalar oracles;
@@ -32,9 +32,12 @@
 //!   ops, with the stitched-vs-sequential quality gap and the
 //!   certified lower bound.
 //!
-//! The binaries under `src/bin/` print the results; `EXPERIMENTS.md`
-//! records them against the paper.
+//! [`artifact`] is the one JSON writer every study's `BENCH_*.json`
+//! goes through. The `bench` binary runs each table, figure or study
+//! as a subcommand (`bench <sub> [--quick] [--out PATH]`);
+//! `EXPERIMENTS.md` records the results against the paper.
 
+pub mod artifact;
 pub mod complexity;
 pub mod coupling;
 pub mod delay_sweep;

@@ -14,12 +14,11 @@
 //!   [`ChainExtrema`]), and the word-parallel extremum-row kernels vs
 //!   their scalar oracles.
 //!
-//! `bin/microbench.rs` drives these, prints a table, emits
-//! `BENCH_7.json`, and in `--check` mode gates CI on the 100k-op
-//! single-threaded wall (>15 % regression vs the committed artifact
-//! fails the job).
+//! `bench micro` drives these, prints a table and emits
+//! `BENCH_7.json`; `bench micro --check` runs [`check_wall_100k`], the
+//! CI gate on the 100k-op single-threaded wall.
 
-use crate::complexity::sweep_config;
+use crate::complexity::{scaling_sweep, sweep_config};
 use hls_ir::reach::{kernels, ChainExtrema, ReachIndex};
 use hls_ir::{generate, ResourceSet};
 use std::hint::black_box;
@@ -74,6 +73,47 @@ pub fn time_fn<F: FnMut()>(name: &str, iters: u64, samples: usize, mut f: F) -> 
         iters,
         min_ns: per_iter.first().copied().unwrap_or(0.0),
         median_ns: per_iter[per_iter.len() / 2],
+    }
+}
+
+/// The wall gate's envelope over the committed artifact: the
+/// disabled recorder must cost one relaxed load and a predicted
+/// branch, invisible at the 2 % level.
+const WALL_TOLERANCE: f64 = 1.02;
+
+/// The 100k-op wall gate: with the `hls-obs` recorder disabled, the
+/// best-of-3 single-threaded `schedule_all` wall at 100k ops must stay
+/// within 2 % of the `wall_100k_us` committed in the artifact at
+/// `path`. Returns the verdict line either way.
+///
+/// # Errors
+///
+/// When the artifact is unreadable or has no numeric `wall_100k_us`,
+/// or the measured wall exceeds the limit.
+///
+/// # Panics
+///
+/// Panics if the recorder is enabled: the gate measures it disabled.
+pub fn check_wall_100k(path: &str) -> Result<String, String> {
+    assert!(!hls_obs::enabled(), "the wall gate measures the DISABLED recorder");
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let committed = crate::artifact::json_number(&text, "wall_100k_us")
+        .ok_or_else(|| format!("{path} has no numeric wall_100k_us"))?;
+    // Warmup discarded, then best-of-3: on a shared host noise only
+    // adds time, so the minimum is the honest estimate.
+    let _ = scaling_sweep(&[256], 0);
+    let best = (0..3)
+        .map(|_| scaling_sweep(&[100_000], 0)[0].opt_us)
+        .min()
+        .expect("three runs");
+    let limit = (committed * WALL_TOLERANCE) as u128;
+    let verdict = format!(
+        "100k-op wall (recorder disabled): best-of-3 {best} us, committed {committed} us, limit {limit} us"
+    );
+    if best <= limit {
+        Ok(verdict)
+    } else {
+        Err(format!("{verdict}: regressed more than 2% vs {path}"))
     }
 }
 

@@ -17,7 +17,9 @@ use threaded_sched::{
     meta::MetaSchedule, parallel::ParallelConfig, ParallelScheduler, ThreadedScheduler,
 };
 
+use crate::artifact::{self, Json};
 use crate::complexity::sweep_config;
+use crate::obj;
 
 /// One measured size point of the scaling study.
 #[derive(Clone, Debug)]
@@ -142,52 +144,30 @@ pub fn report(points: &[ParallelPoint], workers: usize, quick: bool) -> String {
         .iter()
         .filter_map(ParallelPoint::speedup)
         .fold(0.0f64, f64::max);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"BENCH_6\",\n");
-    out.push_str("  \"pr\": 8,\n");
-    out.push_str(
-        "  \"subject\": \"partition-parallel scheduling: balanced min-cut partition + \
-         per-block soft scheduling on worker threads + linear seam stitch, vs the \
-         sequential engine\",\n",
-    );
-    out.push_str(
-        "  \"workload\": \"layered DFG, bounded mean in-degree ~6, \
-         ResourceSet::classic(2,2), topological meta order (complexity::sweep_config)\",\n",
-    );
-    out.push_str(&format!("  \"workers\": {workers},\n"));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"headline_speedup\": {headline:.2},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let seq_ms = p.sequential_ms.map_or("null".to_string(), |v| v.to_string());
-        let seq_d = p
-            .sequential_diameter
-            .map_or("null".to_string(), |v| v.to_string());
-        let speedup = p
-            .speedup()
-            .map_or("null".to_string(), |v| format!("{v:.2}"));
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ops\": {}, \"edges\": {}, \"sequential_ms\": {}, \
-             \"parallel_ms\": {}, \"speedup\": {}, \"sequential_diameter\": {}, \
-             \"parallel_diameter\": {}, \"lower_bound\": {}, \"blocks\": {}, \
-             \"cut_edges\": {}}}{}\n",
-            p.name,
-            p.ops,
-            p.edges,
-            seq_ms,
-            p.parallel_ms,
-            speedup,
-            seq_d,
-            p.parallel_diameter,
-            p.lower_bound,
-            p.blocks,
-            p.cut_edges,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<Json> = points
+        .iter()
+        .map(|p| {
+            obj! {
+                "name": p.name.as_str(), "ops": p.ops, "edges": p.edges,
+                "sequential_ms": p.sequential_ms, "parallel_ms": p.parallel_ms,
+                "speedup": p.speedup().map(|v| Json::fixed(v, 2)),
+                "sequential_diameter": p.sequential_diameter,
+                "parallel_diameter": p.parallel_diameter, "lower_bound": p.lower_bound,
+                "blocks": p.blocks, "cut_edges": p.cut_edges,
+            }
+        })
+        .collect();
+    let body = obj! {
+        "pr": 8u32,
+        "subject": "partition-parallel scheduling: balanced min-cut partition + per-block soft \
+            scheduling on worker threads + linear seam stitch, vs the sequential engine",
+        "workload": "layered DFG, bounded mean in-degree ~6, ResourceSet::classic(2,2), \
+            topological meta order (complexity::sweep_config)",
+        "workers": workers,
+        "headline_speedup": Json::fixed(headline, 2),
+        "points": rows,
+    };
+    artifact::document("BENCH_6", quick, body)
 }
 
 #[cfg(test)]
