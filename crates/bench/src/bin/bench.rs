@@ -23,7 +23,7 @@ use hls_bench::portfolio::{sweep_report, thread_sweep};
 use hls_bench::{complexity, coupling, delay_sweep, fig1, fig3, meta_ablation, modulo, obj};
 use hls_bench::{parallel, serve_load};
 use hls_flow::{run_flow_degraded, FlowConfig};
-use hls_ir::{bench_graphs, generate, textfmt, ResourceSet};
+use hls_ir::{bench_graphs, generate, textfmt, Budget, ResourceSet};
 use hls_serve::{BindAddr, Client, RequestOpts, ServeConfig, Server};
 
 /// Installed for every subcommand, armed only by `scaling`: disarmed,
@@ -610,7 +610,8 @@ fn traced_flow_covers_the_phases(ops: usize, trace_out: &str) {
     let g = generate::layered_dag(0x5EED ^ ops as u64, &sweep_config(ops));
     let pcfg = hls_search::portfolio::PortfolioConfig::default();
     let t0 = Instant::now();
-    let race = hls_search::portfolio::run_portfolio(&g, &ResourceSet::classic(2, 2), &pcfg)
+    let race =
+        hls_search::portfolio::run_portfolio(&g, &ResourceSet::classic(2, 2), &pcfg, &Budget::NONE)
         .unwrap_or_else(|e| panic!("traced {ops}-op portfolio race must complete: {e}"));
     println!(
         "traced {ops}-op portfolio race: diameter {} in {} ms",

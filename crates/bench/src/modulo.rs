@@ -9,7 +9,7 @@
 //! `hls_ir::schedule::check_modulo` before it is counted.
 
 use hls_ir::schedule::check_modulo;
-use hls_ir::{bench_graphs, generate, PrecedenceGraph, ResourceClass, ResourceSet};
+use hls_ir::{bench_graphs, generate, Budget, PrecedenceGraph, ResourceClass, ResourceSet};
 use hls_search::{run_modulo_portfolio, PipelineConfig};
 use std::time::Instant;
 
@@ -84,7 +84,7 @@ pub fn modulo_grid(extra_kernels: usize, threads: usize) -> Vec<ModuloCell> {
                 ..PipelineConfig::default()
             };
             let t0 = Instant::now();
-            let out = run_modulo_portfolio(&g, &r, &cfg)
+            let out = run_modulo_portfolio(&g, &r, &cfg, &Budget::NONE)
                 .unwrap_or_else(|e| panic!("{name} under {r}: {e}"));
             let wall_us = t0.elapsed().as_micros() as u64;
             check_modulo(&g, &r, &out.schedule)

@@ -16,7 +16,7 @@
 //!    sweep workload the resource floor is tight, so every losing
 //!    strategy aborts after its first scheduled operation.
 
-use hls_ir::{bench_graphs, generate, ResourceSet};
+use hls_ir::{bench_graphs, generate, Budget, ResourceSet};
 use hls_search::{base_candidates, race, race_workers, run_portfolio, PortfolioConfig};
 use std::time::Instant;
 use threaded_sched::{meta::MetaSchedule, ThreadedScheduler};
@@ -70,7 +70,8 @@ pub fn fig3_portfolio(threads: usize) -> Vec<Fig3Cell> {
                 })
                 .min_by_key(|&(_, d)| d)
                 .expect("four metas");
-            let out = run_portfolio(&g, &r, &bench_config(threads)).expect("benchmark");
+            let out = run_portfolio(&g, &r, &bench_config(threads), &Budget::NONE)
+                .expect("benchmark");
             assert!(
                 out.diameter <= best_single,
                 "{name}/{label}: portfolio must not lose to a single meta"
@@ -293,7 +294,8 @@ pub fn refinement_study(max_seed: u64) -> Vec<RefineRow> {
                 ("2+/-,1*", ResourceSet::classic(2, 1)),
             ] {
                 let g = generate::random_dag(seed, 120, density, &dm);
-                let out = run_portfolio(&g, &r, &bench_config(2)).expect("schedulable");
+                let out = run_portfolio(&g, &r, &bench_config(2), &Budget::NONE)
+                    .expect("schedulable");
                 assert!(out.diameter <= out.initial_diameter);
                 rows.push(RefineRow {
                     seed,

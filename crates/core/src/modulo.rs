@@ -31,7 +31,7 @@
 //! (resource conflicts and broken successors) re-enter the worklist —
 //! bounded by an eviction budget, after which the II search moves on.
 //! The feed order can also come from the paper's meta schedules over
-//! the kernel DAG ([`ModuloScheduler::schedule_at_ordered`]); that is
+//! the kernel DAG (the `order` of [`ModuloScheduler::schedule_at`]); that is
 //! what `hls_search`'s modulo portfolio races per candidate II.
 //!
 //! Results are validated cycle-accurately by
@@ -148,69 +148,33 @@ impl ModuloScheduler {
         self.mii() + self.g.total_delay() + 1
     }
 
-    /// Attempts one candidate `ii` with the default height-first
-    /// priority.
+    /// Attempts one candidate `ii` under a cooperative
+    /// [`hls_ir::Budget`]. With no `order` the default height-first
+    /// priority places operations; an explicit `order` (earlier =
+    /// higher priority) is the hook for racing the paper's meta
+    /// schedules (computed over [`PrecedenceGraph::kernel_dag`]) per
+    /// candidate II. The budget is checked before every placement (the
+    /// modulo analogue of a commit), so the attempt stops within one
+    /// placement of its deadline; the attempt draws its own step quota.
     ///
     /// # Errors
     ///
     /// [`SchedError::IiInfeasible`] if the eviction budget runs out at
-    /// this II (the caller's search loop moves on).
-    pub fn schedule_at(&self, ii: u64) -> Result<ModuloSchedule, SchedError> {
-        self.schedule_at_budgeted(ii, &hls_ir::Budget::NONE)
-    }
-
-    /// [`ModuloScheduler::schedule_at`] under a cooperative
-    /// [`hls_ir::Budget`]: the budget is checked before every placement
-    /// (the modulo analogue of a commit), so the attempt stops within
-    /// one placement of its deadline.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::Timeout`] when the budget expires mid-attempt,
-    /// [`SchedError::Poisoned`] if a placement panicked (caught here),
-    /// otherwise as [`ModuloScheduler::schedule_at`].
-    pub fn schedule_at_budgeted(
+    /// this II (the caller's search loop moves on),
+    /// [`SchedError::UnknownOp`] if `order` mentions an out-of-range
+    /// id, [`SchedError::Timeout`] when the budget expires mid-attempt,
+    /// and [`SchedError::Poisoned`] if a placement panicked (caught
+    /// here).
+    pub fn schedule_at(
         &self,
         ii: u64,
+        order: Option<&[OpId]>,
         budget: &hls_ir::Budget,
     ) -> Result<ModuloSchedule, SchedError> {
         let mut steps = 0u64;
-        self.ims_isolated(ii, &self.height, budget, &mut steps)
-    }
-
-    /// Attempts one candidate `ii` feeding operations in the priority
-    /// of an explicit `order` (earlier = higher priority) — the hook
-    /// for racing the paper's meta schedules (computed over
-    /// [`PrecedenceGraph::kernel_dag`]) per candidate II.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::IiInfeasible`] as for
-    /// [`ModuloScheduler::schedule_at`]; [`SchedError::UnknownOp`] if
-    /// the order mentions an out-of-range id.
-    pub fn schedule_at_ordered(
-        &self,
-        ii: u64,
-        order: &[OpId],
-    ) -> Result<ModuloSchedule, SchedError> {
-        self.schedule_at_ordered_budgeted(ii, order, &hls_ir::Budget::NONE)
-    }
-
-    /// [`ModuloScheduler::schedule_at_ordered`] under a cooperative
-    /// [`hls_ir::Budget`] — see
-    /// [`ModuloScheduler::schedule_at_budgeted`] for the budget and
-    /// panic-isolation contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModuloScheduler::schedule_at_ordered`], plus
-    /// [`SchedError::Timeout`] and [`SchedError::Poisoned`].
-    pub fn schedule_at_ordered_budgeted(
-        &self,
-        ii: u64,
-        order: &[OpId],
-        budget: &hls_ir::Budget,
-    ) -> Result<ModuloSchedule, SchedError> {
+        let Some(order) = order else {
+            return self.ims_isolated(ii, &self.height, budget, &mut steps);
+        };
         let n = self.g.len();
         let mut prio = vec![0u64; n];
         for (i, &v) in order.iter().enumerate() {
@@ -219,36 +183,24 @@ impl ModuloScheduler {
             }
             prio[v.index()] = (order.len() - i) as u64;
         }
-        let mut steps = 0u64;
         self.ims_isolated(ii, &prio, budget, &mut steps)
     }
 
     /// Searches candidate IIs upward from [`ModuloScheduler::mii`]
-    /// with the default priority and returns the first success.
+    /// with the default priority and returns the first success, under
+    /// a cooperative [`hls_ir::Budget`] spanning the *whole* II search:
+    /// placements across all attempted IIs draw from one step quota,
+    /// and the wall deadline is checked before every placement.
     ///
     /// # Errors
     ///
     /// [`SchedError::IiInfeasible`] carrying the last II tried if the
     /// whole range up to [`ModuloScheduler::max_ii`] fails (does not
-    /// happen for well-formed kernels; the bound is a backstop).
-    pub fn schedule(&self) -> Result<ModuloOutcome, SchedError> {
-        self.schedule_budgeted(&hls_ir::Budget::NONE)
-    }
-
-    /// [`ModuloScheduler::schedule`] under a cooperative
-    /// [`hls_ir::Budget`] spanning the *whole* II search: placements
-    /// across all attempted IIs draw from one step quota, and the wall
-    /// deadline is checked before every placement.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModuloScheduler::schedule`], plus [`SchedError::Timeout`]
-    /// when the budget expires and [`SchedError::Poisoned`] if a
-    /// placement panicked (caught here, never unwound to the caller).
-    pub fn schedule_budgeted(
-        &self,
-        budget: &hls_ir::Budget,
-    ) -> Result<ModuloOutcome, SchedError> {
+    /// happen for well-formed kernels; the bound is a backstop),
+    /// [`SchedError::Timeout`] when the budget expires, and
+    /// [`SchedError::Poisoned`] if a placement panicked (caught here,
+    /// never unwound to the caller).
+    pub fn schedule(&self, budget: &hls_ir::Budget) -> Result<ModuloOutcome, SchedError> {
         let mii = self.mii();
         let mut steps = 0u64;
         for ii in mii..=self.max_ii() {
@@ -614,10 +566,10 @@ mod tests {
         let r = ResourceSet::classic(1, 1).with(ResourceClass::MemPort, 1);
         let sched = ModuloScheduler::new(g, r).unwrap();
         // Zero placements allowed: the very first placement check fails.
-        let err = sched.schedule_budgeted(&hls_ir::Budget::steps(0)).unwrap_err();
+        let err = sched.schedule(&hls_ir::Budget::steps(0)).unwrap_err();
         assert!(matches!(err, SchedError::Timeout), "{err}");
         // A generous quota completes normally.
-        let out = sched.schedule_budgeted(&hls_ir::Budget::steps(100_000)).unwrap();
+        let out = sched.schedule(&hls_ir::Budget::steps(100_000)).unwrap();
         assert_eq!(out.ii, 2);
     }
 
@@ -630,7 +582,7 @@ mod tests {
         let g = bench_graphs::mac_loop();
         let r = ResourceSet::classic(1, 1).with(ResourceClass::MemPort, 1);
         let sched = ModuloScheduler::new(g, r).unwrap();
-        let err = sched.schedule().unwrap_err();
+        let err = sched.schedule(&hls_ir::Budget::NONE).unwrap_err();
         assert!(matches!(err, SchedError::Poisoned(_)), "{err}");
     }
 
@@ -643,14 +595,14 @@ mod tests {
         let sched = ModuloScheduler::new(g.clone(), r.clone()).unwrap();
         assert_eq!(sched.res_mii(), 2);
         assert_eq!(sched.rec_mii(), 1);
-        let out = sched.schedule().unwrap();
+        let out = sched.schedule(&hls_ir::Budget::NONE).unwrap();
         assert_eq!(out.ii, 2, "achieves the certified MII");
         assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
         // Two ports halve the II.
         let r2 = ResourceSet::classic(1, 1).with(ResourceClass::MemPort, 2);
         let out2 = ModuloScheduler::new(g.clone(), r2.clone())
             .unwrap()
-            .schedule()
+            .schedule(&hls_ir::Budget::NONE)
             .unwrap();
         assert_eq!(out2.ii, 2, "mul delay 2 holds the floor");
         assert_eq!(check_modulo(&g, &r2, &out2.schedule), Ok(()));
@@ -666,7 +618,7 @@ mod tests {
         // y → y1(move 1) → a1y1(mul 2) → fb1(sub 1) → y(sub 1): Σ = 5,
         // distance 1.
         assert_eq!(sched.rec_mii(), 5);
-        let out = sched.schedule().unwrap();
+        let out = sched.schedule(&hls_ir::Budget::NONE).unwrap();
         assert_eq!(out.ii, 5);
         assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
     }
@@ -681,7 +633,7 @@ mod tests {
         let r = ResourceSet::classic(2, 2).with(ResourceClass::MemPort, 1);
         let sched = ModuloScheduler::new(g.clone(), r.clone()).unwrap();
         assert_eq!(sched.mii(), 5);
-        let out = sched.schedule().unwrap();
+        let out = sched.schedule(&hls_ir::Budget::NONE).unwrap();
         assert_eq!(out.ii, 6);
         assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
     }
@@ -692,7 +644,7 @@ mod tests {
         let r = ResourceSet::classic(1, 0);
         let sched = ModuloScheduler::new(g.clone(), r.clone()).unwrap();
         assert_eq!(sched.rec_mii(), 2, "a' = a − b through the move");
-        let out = sched.schedule().unwrap();
+        let out = sched.schedule(&hls_ir::Budget::NONE).unwrap();
         assert_eq!(out.ii, 2);
         assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
     }
@@ -705,7 +657,7 @@ mod tests {
         // 8 muls of delay 2 on 2 multipliers: ResMII 8.
         assert_eq!(sched.res_mii(), 8);
         assert_eq!(sched.rec_mii(), 1);
-        let out = sched.schedule().unwrap();
+        let out = sched.schedule(&hls_ir::Budget::NONE).unwrap();
         assert_eq!(out.ii, 8);
         assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
     }
@@ -718,7 +670,7 @@ mod tests {
         let r = ResourceSet::classic(2, 2);
         let sched = ModuloScheduler::new(g.clone(), r.clone()).unwrap();
         assert_eq!(sched.rec_mii(), 1);
-        let out = sched.schedule().unwrap();
+        let out = sched.schedule(&hls_ir::Budget::NONE).unwrap();
         assert_eq!(out.ii, sched.mii());
         assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
     }
@@ -729,11 +681,11 @@ mod tests {
         let r = ResourceSet::classic(1, 1).with(ResourceClass::MemPort, 1);
         let sched = ModuloScheduler::new(g.clone(), r.clone()).unwrap();
         let order: Vec<OpId> = g.op_ids().collect();
-        let ms = sched.schedule_at_ordered(sched.mii(), &order).unwrap();
+        let ms = sched.schedule_at(sched.mii(), Some(&order), &hls_ir::Budget::NONE).unwrap();
         assert_eq!(check_modulo(&g, &r, &ms), Ok(()));
         let bogus = [OpId::from_index(99)];
         assert!(matches!(
-            sched.schedule_at_ordered(2, &bogus),
+            sched.schedule_at(2, Some(&bogus), &hls_ir::Budget::NONE),
             Err(SchedError::UnknownOp(_))
         ));
     }
@@ -745,7 +697,7 @@ mod tests {
         let sched = ModuloScheduler::new(g, r).unwrap();
         // II below the memory bound cannot fit two loads.
         assert!(matches!(
-            sched.schedule_at(1),
+            sched.schedule_at(1, None, &hls_ir::Budget::NONE),
             Err(SchedError::IiInfeasible(1))
         ));
     }
@@ -779,8 +731,9 @@ mod tests {
     fn schedule_is_deterministic() {
         for (name, g) in bench_graphs::loops() {
             let r = ResourceSet::classic(2, 1).with(ResourceClass::MemPort, 1);
-            let s1 = ModuloScheduler::new(g.clone(), r.clone()).unwrap().schedule().unwrap();
-            let s2 = ModuloScheduler::new(g, r).unwrap().schedule().unwrap();
+            let none = hls_ir::Budget::NONE;
+            let s1 = ModuloScheduler::new(g.clone(), r.clone()).unwrap().schedule(&none).unwrap();
+            let s2 = ModuloScheduler::new(g, r).unwrap().schedule(&none).unwrap();
             assert_eq!(s1.ii, s2.ii, "{name}");
             assert_eq!(s1.schedule, s2.schedule, "{name}");
         }

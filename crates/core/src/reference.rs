@@ -7,8 +7,8 @@
 //! The optimized [`crate::ThreadedScheduler`] must produce *bit-identical*
 //! placement sequences and extracted schedules — the golden-equivalence
 //! suite (`tests/golden_equivalence.rs`) enforces this on seeded random
-//! graphs, and the `bench_json` binary reports the measured speedup
-//! against this implementation in `BENCH_1.json`.
+//! graphs, and `bench scaling` reports the measured speedup against
+//! this implementation.
 //!
 //! Do not "improve" this file: its value is being frozen.
 

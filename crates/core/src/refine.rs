@@ -5,7 +5,9 @@
 //! register allocation, register moves from SSA φ resolution, wire
 //! delays from physical design — a *soft* schedule absorbs them by
 //! scheduling the new vertices into the existing partial order
-//! ([`insert_spill`], [`insert_wire_delay`], [`resolve_phi_to_move`]).
+//! ([`insert_spill`], [`insert_wire_delay`]); a φ resolved to a
+//! register move is retyped in place
+//! ([`ThreadedScheduler::retype_op`]).
 //!
 //! For comparison this module also implements the "trivial fix" the
 //! paper attributes to hard schedulers (Figures 1(c)/(d)): keep every
@@ -58,29 +60,6 @@ pub fn insert_wire_delay(
     let label = format!("wd({}->{})", ts.graph().label(from), ts.graph().label(to));
     let inserted = ts.refine_splice(from, to, [(OpKind::WireDelay, delay, label)])?;
     Ok(inserted[0])
-}
-
-/// Resolves an SSA φ operation to a register move *after* scheduling —
-/// the paper's Section 1 example of a decision only register allocation
-/// can make. The φ must be scheduled already; its delay changes from 0
-/// to the move delay and the state is relabelled via a fresh ECO vertex.
-///
-/// Returns the move operation (the φ itself, retyped) — callers keep
-/// using the same id.
-///
-/// # Errors
-///
-/// Returns [`SchedError::NotScheduled`] if the φ is not in the state.
-pub fn resolve_phi_to_move(
-    ts: &mut ThreadedScheduler,
-    phi: OpId,
-    move_delay: u64,
-) -> Result<OpId, SchedError> {
-    if !ts.is_scheduled(phi) {
-        return Err(SchedError::NotScheduled(phi));
-    }
-    ts.retype_op(phi, OpKind::Move, move_delay);
-    Ok(phi)
 }
 
 /// Outcome of patching a *hard* schedule by the trivial fix.
@@ -264,34 +243,6 @@ mod tests {
             insert_spill(&mut ts, f.v[2], f.v[3]),
             Err(SchedError::NoCompatibleUnit(_, OpKind::Store))
         ));
-    }
-
-    #[test]
-    fn phi_resolution_retypes_in_place() {
-        let mut g = PrecedenceGraph::new();
-        let a = g.add_op(OpKind::Add, 1, "a");
-        let phi = g.add_op(OpKind::Phi, 0, "phi");
-        let b = g.add_op(OpKind::Add, 1, "b");
-        g.add_edge(a, phi).unwrap();
-        g.add_edge(phi, b).unwrap();
-        let mut ts = ThreadedScheduler::new(g, ResourceSet::uniform(1)).unwrap();
-        ts.schedule_all([a, phi, b]).unwrap();
-        assert_eq!(ts.diameter(), 2, "free phi costs nothing");
-        resolve_phi_to_move(&mut ts, phi, 1).unwrap();
-        assert_eq!(ts.graph().kind(phi), OpKind::Move);
-        assert_eq!(ts.diameter(), 3, "the move now takes a step");
-        ts.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn phi_resolution_requires_scheduled_phi() {
-        let mut g = PrecedenceGraph::new();
-        let phi = g.add_op(OpKind::Phi, 0, "phi");
-        let mut ts = ThreadedScheduler::new(g, ResourceSet::uniform(1)).unwrap();
-        assert_eq!(
-            resolve_phi_to_move(&mut ts, phi, 1),
-            Err(SchedError::NotScheduled(phi))
-        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! # Incremental engine
 //!
 //! This implementation meets the Theorem 3 per-operation bound in
-//! practice (see `DESIGN.md` §4 and the `bench_json` study). Compared to
+//! practice (see `DESIGN.md` §4 and the `bench scaling` study). Compared to
 //! the frozen [`crate::ReferenceScheduler`] seed it differs only in
 //! *how* the same state is computed:
 //!
@@ -585,7 +585,7 @@ impl ThreadedScheduler {
     /// position). Online optimality is unaffected (Theorem 2 fixes only
     /// the cost); the bias matters for register pressure: spill reloads
     /// scheduled late keep their values in memory longest.
-    pub fn select_late(&self, v: OpId) -> Result<Placement, SchedError> {
+    fn select_late(&self, v: OpId) -> Result<Placement, SchedError> {
         self.select_impl(v, true)
     }
 
@@ -713,7 +713,7 @@ impl ThreadedScheduler {
     /// # Errors
     ///
     /// Same contract as [`ThreadedScheduler::schedule`].
-    pub fn schedule_late(&mut self, v: OpId) -> Result<Placement, SchedError> {
+    fn schedule_late(&mut self, v: OpId) -> Result<Placement, SchedError> {
         self.check_poisoned()?;
         if v.index() >= self.core.g.len() {
             return Err(SchedError::UnknownOp(v));
@@ -2316,6 +2316,25 @@ mod tests {
         assert_eq!(ts.diameter(), 1);
         assert!(ts.final_lower_bound() <= ts.diameter());
         assert!(ts.schedule_lower_bound() <= ts.diameter());
+        ts.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn retype_op_resolves_a_scheduled_phi_in_place() {
+        // SSA φ resolution: a free φ becomes a one-step register move
+        // under the same id, and the state pays for the new delay.
+        let mut g = PrecedenceGraph::new();
+        let a = g.add_op(OpKind::Add, 1, "a");
+        let phi = g.add_op(OpKind::Phi, 0, "phi");
+        let b = g.add_op(OpKind::Add, 1, "b");
+        g.add_edge(a, phi).unwrap();
+        g.add_edge(phi, b).unwrap();
+        let mut ts = ThreadedScheduler::new(g, ResourceSet::uniform(1)).unwrap();
+        ts.schedule_all([a, phi, b]).unwrap();
+        assert_eq!(ts.diameter(), 2, "free phi costs nothing");
+        ts.retype_op(phi, OpKind::Move, 1);
+        assert_eq!(ts.graph().kind(phi), OpKind::Move);
+        assert_eq!(ts.diameter(), 3, "the move now takes a step");
         ts.check_invariants().unwrap();
     }
 

@@ -92,7 +92,7 @@ fn infeasible_ii_reports_the_probed_interval() {
     let sched = ModuloScheduler::new(g, r).unwrap();
     // Two loads on one port cannot fit II=1.
     assert_eq!(
-        sched.schedule_at(1).expect_err("below ResMII"),
+        sched.schedule_at(1, None, &hls_ir::Budget::NONE).expect_err("below ResMII"),
         SchedError::IiInfeasible(1)
     );
 }

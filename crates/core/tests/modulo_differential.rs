@@ -126,13 +126,15 @@ proptest! {
         let g = kernel(seed, ops, back_edges, max_distance);
         let r = allocation(alloc);
         let sched = ModuloScheduler::new(g.clone(), r.clone()).expect("valid kernel");
-        let out = sched.schedule().expect("well-formed kernels always schedule");
+        let out = sched
+            .schedule(&hls_ir::Budget::NONE)
+            .expect("well-formed kernels always schedule");
         prop_assert!(out.ii >= out.mii);
         let ok = checkers_agree(&g, &r, &out.schedule, "scheduler output")?;
         prop_assert!(ok, "scheduler output must be legal");
         // A strictly looser II (more slots, laxer recurrences) must
         // also succeed and agree.
-        if let Ok(loose) = sched.schedule_at(out.ii + 3) {
+        if let Ok(loose) = sched.schedule_at(out.ii + 3, None, &hls_ir::Budget::NONE) {
             let ok = checkers_agree(&g, &r, &loose, "loose II")?;
             prop_assert!(ok);
         }
@@ -151,7 +153,9 @@ proptest! {
         let g = kernel(seed, ops, back_edges, max_distance);
         let r = allocation(alloc);
         let sched = ModuloScheduler::new(g.clone(), r.clone()).expect("valid kernel");
-        let out = sched.schedule().expect("well-formed kernels always schedule");
+        let out = sched
+            .schedule(&hls_ir::Budget::NONE)
+            .expect("well-formed kernels always schedule");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
         for round in 0..3 {
             let mut ms = out.schedule.clone();
@@ -177,7 +181,7 @@ proptest! {
         let mii = sched.mii();
         prop_assume!(mii > 1);
         let probe = mii - 1;
-        match sched.schedule_at(probe) {
+        match sched.schedule_at(probe, None, &hls_ir::Budget::NONE) {
             Ok(ms) => {
                 // The IMS budget is heuristic, but a *successful*
                 // placement below the bound would disprove the bound:

@@ -437,11 +437,7 @@ pub(crate) fn run_engine(
     let mut modulo = None;
     let graph = match &config.pipeline {
         Some(pcfg) => {
-            let pcfg = hls_search::PipelineConfig {
-                budget: pcfg.budget.tighter(budget),
-                ..pcfg.clone()
-            };
-            let out = hls_search::run_modulo_portfolio(&graph, &config.resources, &pcfg)?;
+            let out = hls_search::run_modulo_portfolio(&graph, &config.resources, pcfg, budget)?;
             pipeline = Some(PipelineReport {
                 ii: out.ii,
                 mii: out.mii,
@@ -462,11 +458,7 @@ pub(crate) fn run_engine(
     let _sched_span = hls_obs::obs_span!(FlowSchedule, "", graph.len() as u64);
     let ts = match engine {
         Engine::Portfolio(pcfg) => {
-            let pcfg = hls_search::PortfolioConfig {
-                budget: pcfg.budget.tighter(budget),
-                ..pcfg.clone()
-            };
-            hls_search::run_portfolio(&graph, &config.resources, &pcfg)?.winner
+            hls_search::run_portfolio(&graph, &config.resources, pcfg, budget)?.winner
         }
         Engine::Parallel(par) if pipeline.is_none() && graph.len() > par.sequential_cutoff => {
             let ps = threaded_sched::ParallelScheduler::new(

@@ -12,22 +12,19 @@
 //! * [`portfolio`] — a **parallel portfolio**: the paper's four meta
 //!   schedules plus seeded [`MetaSchedule::Random`] /
 //!   [`MetaSchedule::RandomTopo`] perturbations race on OS threads.
-//!   The runs share an atomic *incumbent* — the best `(diameter,
-//!   candidate)` pair completed so far, packed into one `u64` — and
-//!   every run probes it after each scheduled operation through the
-//!   early-abort hook of `ThreadedScheduler::schedule_all_budgeted`.
-//!   Because the state diameter is monotone under scheduling
-//!   (Lemma 4), a run whose prefix diameter already rules out beating
-//!   the incumbent can abort without changing the result; the packed
-//!   comparison makes the winner *deterministic for a fixed candidate
-//!   set regardless of thread count or timing* (see `DESIGN.md` §7
-//!   for the argument).
+//!   Every run probes the race's atomic *incumbent* — the best
+//!   `(diameter, candidate)` pair completed so far — after each
+//!   scheduled operation through the early-abort hook of
+//!   `ThreadedScheduler::schedule_all_budgeted`. Because the state
+//!   diameter is monotone under scheduling (Lemma 4), a run whose
+//!   bound already rules out beating the incumbent can abort without
+//!   changing the result.
 //! * [`modulo`] — the **modulo portfolio** for loop pipelining: each
 //!   candidate is an *(II, placement order)* pair — initiation
 //!   intervals from the window above the certified
 //!   `MII = max(ResMII, RecMII)` bound crossed with the paper metas
-//!   (resolved over the kernel DAG) — racing behind one packed
-//!   `(II, latency, slot)` incumbent. Completions at the minimum
+//!   (resolved over the kernel DAG) — racing behind one
+//!   `(II, latency, candidate)` incumbent. Completions at the minimum
 //!   feasible II prune every higher-II candidate.
 //! * [`cone`] + [`perturb`] — **feedback-guided refinement** in the
 //!   spirit of subgraph-extraction iterative scheduling (Wu et al.,
@@ -38,15 +35,20 @@
 //!   keep strict improvements, and iterate until no improvement for a
 //!   configured number of rounds.
 //!
+//! Both portfolios run on one private race executor (worker pool,
+//! packed incumbent, panic containment, fold), so both winners are
+//! *deterministic for a fixed candidate set regardless of thread count
+//! or timing* (see `DESIGN.md` §7 for the argument).
+//!
 //! # Example
 //!
 //! ```
-//! use hls_ir::{bench_graphs, ResourceSet};
+//! use hls_ir::{bench_graphs, Budget, ResourceSet};
 //! use hls_search::{run_portfolio, PortfolioConfig};
 //!
 //! let g = bench_graphs::ewf();
 //! let resources = ResourceSet::classic(2, 2);
-//! let out = run_portfolio(&g, &resources, &PortfolioConfig::default())?;
+//! let out = run_portfolio(&g, &resources, &PortfolioConfig::default(), &Budget::NONE)?;
 //! // The portfolio can never lose to a single meta schedule it contains.
 //! assert!(out.diameter <= out.initial_diameter);
 //! println!("{} wins with {} states", out.winner_name, out.diameter);
@@ -62,6 +64,7 @@ pub mod cone;
 pub mod modulo;
 pub mod perturb;
 pub mod portfolio;
+mod race;
 
 pub use cone::critical_cone;
 pub use modulo::{
@@ -69,6 +72,7 @@ pub use modulo::{
 };
 pub use perturb::{cone_first, perturb_within};
 pub use portfolio::{
-    base_candidates, race, race_workers, run_portfolio, Candidate, OrderSource,
-    PortfolioConfig, PortfolioOutcome, RaceOutcome, RaceWinner, RefineConfig, RunReport,
+    base_candidates, race, run_portfolio, Candidate, OrderSource, PortfolioConfig,
+    PortfolioOutcome, RaceOutcome, RaceWinner, RefineConfig, RunReport,
 };
+pub use race::race_workers;

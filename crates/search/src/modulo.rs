@@ -8,41 +8,35 @@
 //! scheduler's default height priority, a paper meta schedule computed
 //! over the kernel DAG, or a seeded random-topological tie-break).
 //!
-//! All runs share one packed atomic incumbent, ordered
-//! lexicographically as `(II, latency, slot)`: II dominates because
-//! the II *is* the steady-state throughput; latency (pipeline fill
-//! depth) breaks ties; the slot makes the order total. A worker
-//! checks the incumbent before starting a candidate and skips it when
-//! even a latency-0 completion could not win — once some run completes
-//! at `II*`, every candidate at a higher II is pruned. Candidates at
-//! the incumbent's own II (or below) always run to completion or
-//! failure, so the winner — `argmin (II, latency, slot)` over
-//! completions — is deterministic for a fixed candidate list
-//! regardless of thread count or timing, by the same argument as the
-//! acyclic race (`DESIGN.md` §7, §8).
+//! Candidates race on the crate's shared race executor, scored
+//! lexicographically as `(II, latency)`: II dominates because the II
+//! *is* the steady-state throughput; latency (pipeline fill depth)
+//! breaks ties, and the candidate index makes the order total. A
+//! worker checks the incumbent before starting a candidate and prunes
+//! it when even a latency-0 completion could not win — once some run
+//! completes at `II*`, every candidate at a higher II is pruned.
+//! Candidates at the incumbent's own II (or below) always run to
+//! completion or failure, so the winner — `argmin (II, latency, index)`
+//! over completions — is deterministic for a fixed candidate list
+//! regardless of thread count or timing, by the executor's argument
+//! (`DESIGN.md` §7, §8).
 
+use crate::race::{self, End};
 use hls_ir::schedule::ModuloSchedule;
 use hls_ir::{OpId, PrecedenceGraph, ResourceSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use threaded_sched::meta::MetaSchedule;
 use threaded_sched::{ModuloScheduler, SchedError};
 
-/// Bits of the packed incumbent for the candidate slot.
-const SLOT_BITS: u32 = 16;
-/// Bits for the single-iteration latency.
+/// What the race calls its candidates in post-mortems and errors.
+const WHAT: &str = "modulo candidate";
+
+/// Bits of a candidate's score holding the single-iteration latency.
 const LAT_BITS: u32 = 32;
 
-/// Largest raceable candidate count (the slot field must not bleed
-/// into the latency bits).
-const MAX_CANDIDATES: usize = (1 << SLOT_BITS) - 1;
-
-/// Packs `(ii, latency, slot)` so `u64` ordering is lexicographic.
-fn pack(ii: u64, latency: u64, slot: u64) -> u64 {
-    debug_assert!(ii < 1 << (64 - LAT_BITS - SLOT_BITS), "II overflows the packing");
-    debug_assert!(latency < 1 << LAT_BITS, "latency overflows the packing");
-    debug_assert!(slot < 1 << SLOT_BITS, "slot overflows the packing");
-    (ii << (LAT_BITS + SLOT_BITS)) | (latency << SLOT_BITS) | slot
+/// A candidate's race score: `(ii, latency)` ordered lexicographically.
+fn score(ii: u64, latency: u64) -> u64 {
+    debug_assert!(latency < 1 << LAT_BITS, "latency overflows the score");
+    (ii << LAT_BITS) | latency
 }
 
 /// Configuration of [`run_modulo_portfolio`].
@@ -61,11 +55,6 @@ pub struct PipelineConfig {
     /// per candidate II (on top of the height priority and the four
     /// paper metas).
     pub topo_seeds: Vec<u64>,
-    /// Budget applied to every candidate run independently (each run
-    /// draws its own step quota; a wall deadline is a shared absolute
-    /// instant). [`hls_ir::Budget::NONE`] (the default) runs
-    /// unconstrained.
-    pub budget: hls_ir::Budget,
 }
 
 impl Default for PipelineConfig {
@@ -74,7 +63,6 @@ impl Default for PipelineConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()).min(8),
             ii_span: 2,
             topo_seeds: vec![0xF1B0_0001, 0xF1B0_0002],
-            budget: hls_ir::Budget::NONE,
         }
     }
 }
@@ -122,237 +110,127 @@ pub struct ModuloPortfolioOutcome {
     pub runs: Vec<ModuloRunReport>,
 }
 
-/// One placement-order recipe raced at every candidate II.
-#[derive(Clone, Debug)]
-enum OrderRecipe {
-    /// The scheduler's default height priority.
-    Height,
-    /// A meta schedule resolved over the kernel DAG.
-    Meta(MetaSchedule),
-}
-
-impl OrderRecipe {
-    fn name(&self) -> String {
-        match self {
-            OrderRecipe::Height => "height".to_string(),
-            OrderRecipe::Meta(MetaSchedule::RandomTopo(seed)) => {
-                format!("random-topo({seed:#x})")
-            }
-            OrderRecipe::Meta(m) => m.name().to_string(),
-        }
-    }
-}
-
-/// The order recipes a [`PipelineConfig`] races at each II.
-fn recipes(cfg: &PipelineConfig) -> Vec<OrderRecipe> {
-    let mut out = vec![OrderRecipe::Height];
-    for m in MetaSchedule::PAPER {
-        out.push(OrderRecipe::Meta(m));
-    }
-    for &seed in &cfg.topo_seeds {
-        out.push(OrderRecipe::Meta(MetaSchedule::RandomTopo(seed)));
-    }
-    out
-}
-
 /// Races meta placement orders per candidate II over the loop kernel
 /// `g` and returns the best `(II, latency)` schedule.
 ///
 /// Candidates are ordered II-major (all orders at `MII`, then
-/// `MII+1`, ...) and share a packed `(II, latency, slot)` atomic
-/// incumbent: a worker skips a candidate whose II can no longer win.
-/// The winner is `argmin (II, latency, slot)` over completions —
-/// deterministic for a fixed configuration regardless of
-/// `cfg.threads`. If every candidate in the window fails, the driver
-/// falls back to the sequential II search so an outcome is always
-/// produced for well-formed kernels.
+/// `MII+1`, ...) and share one `(II, latency, index)` incumbent: a
+/// worker skips a candidate whose II can no longer win. The winner is
+/// `argmin (II, latency, index)` over completions — deterministic for a
+/// fixed configuration regardless of `cfg.threads`. `budget` applies
+/// to every candidate run independently (each run draws its own step
+/// quota; a wall deadline is a shared absolute instant);
+/// [`hls_ir::Budget::NONE`] runs unconstrained. If every candidate in
+/// the window fails, the driver falls back to the sequential II search
+/// so an outcome is always produced for well-formed kernels.
 ///
 /// # Errors
 ///
 /// Propagates [`SchedError`] from kernel validation (distance-0
 /// cycle), missing unit classes, or meta-order construction. When no
 /// candidate completes, returns [`SchedError::Timeout`] if any run hit
-/// `cfg.budget`, or [`SchedError::Poisoned`] naming the dead
-/// candidates when every non-pruned run panicked — budget exhaustion
-/// and panics don't prove the window infeasible, so the sequential
-/// fallback only runs when the window genuinely failed.
+/// `budget`, or [`SchedError::Poisoned`] naming the dead candidates
+/// when every non-pruned run panicked — budget exhaustion and panics
+/// don't prove the window infeasible, so the sequential fallback only
+/// runs when the window genuinely failed.
 ///
 /// # Panics
 ///
-/// Panics if the II window × order recipes exceed 65535 candidates
+/// Panics if the II window × order recipes exceed 65534 candidates
 /// (the packed-slot budget).
 pub fn run_modulo_portfolio(
     g: &PrecedenceGraph,
     resources: &ResourceSet,
     cfg: &PipelineConfig,
+    budget: &hls_ir::Budget,
 ) -> Result<ModuloPortfolioOutcome, SchedError> {
     let sched = ModuloScheduler::new(g.clone(), resources.clone())?;
     let mii = sched.mii();
     let kernel = g.kernel_dag();
-    // Resolve orders once: the same order is reused at every II.
-    let recipes = recipes(cfg);
-    let mut orders: Vec<(String, Option<Vec<OpId>>)> = Vec::with_capacity(recipes.len());
-    for r in &recipes {
-        let order = match r {
-            OrderRecipe::Height => None,
-            OrderRecipe::Meta(m) => Some(m.order(&kernel, resources)?),
+    // Resolve orders once: the same order is reused at every II. The
+    // scheduler's height priority leads, then the paper metas and the
+    // seeded topological tie-breaks over the kernel DAG.
+    let mut orders: Vec<(String, Option<Vec<OpId>>)> = vec![("height".to_string(), None)];
+    let topo = cfg.topo_seeds.iter().map(|&seed| MetaSchedule::RandomTopo(seed));
+    for m in MetaSchedule::PAPER.into_iter().chain(topo) {
+        let name = match m {
+            MetaSchedule::RandomTopo(seed) => format!("random-topo({seed:#x})"),
+            _ => m.name().to_string(),
         };
-        orders.push((r.name(), order));
+        orders.push((name, Some(m.order(&kernel, resources)?)));
     }
     // II-major candidate list: low IIs first so early completions
     // prune the rest of the window.
     let candidates: Vec<(u64, usize)> = (mii..=mii + cfg.ii_span)
         .flat_map(|ii| (0..orders.len()).map(move |o| (ii, o)))
         .collect();
-    assert!(
-        candidates.len() <= MAX_CANDIDATES,
-        "II window × orders exceeds the packed-slot budget"
-    );
-
-    let _race_span = hls_obs::obs_span!(ModuloRace, "", candidates.len() as u64);
-    let incumbent = AtomicU64::new(u64::MAX);
-    let next_job = AtomicUsize::new(0);
-    let workers = crate::race_workers(cfg.threads, candidates.len());
-
-    /// How one `(II, order)` candidate ended.
-    enum Done {
-        Completed { latency: u64, ms: ModuloSchedule },
-        Pruned,
-        /// Infeasible at that II (or any other placement failure that
-        /// only rules out this candidate).
-        Failed,
-        TimedOut,
-        Poisoned(String),
-    }
-    let mut slots: Vec<Option<ModuloRunReport>> = Vec::new();
-    slots.resize_with(candidates.len(), || None);
-    let mut best: Option<(u64, u64, usize, ModuloSchedule)> = None;
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, Done)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let incumbent = &incumbent;
-            let next_job = &next_job;
-            let sched = &sched;
-            let candidates = &candidates;
-            let orders = &orders;
-            let g = &*g;
-            let budget = &cfg.budget;
-            s.spawn(move || loop {
-                let idx = next_job.fetch_add(1, Ordering::Relaxed);
-                if idx >= candidates.len() {
-                    break;
-                }
-                let (ii, oi) = candidates[idx];
-                let slot = idx as u64;
-                // Prune: even a latency-0 completion at this II loses.
-                if pack(ii, 0, slot) > incumbent.load(Ordering::Relaxed) {
-                    if tx.send((idx, Done::Pruned)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                // The scheduler already isolates placement panics
-                // (`SchedError::Poisoned`); the outer catch_unwind
-                // contains anything unwinding outside that boundary
-                // (e.g. latency computation), so no panic crosses the
-                // race. The run executes inside a fault-injection
-                // scope named after the candidate tag.
-                hls_obs::obs_count!(ModuloCandidates);
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let tag = format!("ii={ii}/{}", orders[oi].0);
-                    let _span = hls_obs::obs_span!(ModuloCandidate, &tag, ii);
-                    let _scope = hls_ir::faultinject::RunScope::enter(&tag);
-                    let run = match &orders[oi].1 {
-                        None => sched.schedule_at_budgeted(ii, budget),
-                        Some(order) => sched.schedule_at_ordered_budgeted(ii, order, budget),
-                    };
-                    match run {
-                        Ok(ms) => {
-                            let latency = ms.latency(g);
-                            incumbent.fetch_min(pack(ii, latency, slot), Ordering::Relaxed);
-                            Done::Completed { latency, ms }
-                        }
-                        Err(SchedError::Timeout) => Done::TimedOut,
-                        Err(SchedError::Poisoned(msg)) => Done::Poisoned(msg),
-                        Err(_) => Done::Failed,
-                    }
-                }));
-                let done = attempt.unwrap_or_else(|payload| {
-                    Done::Poisoned(threaded_sched::panic_message(payload.as_ref()))
-                });
-                if tx.send((idx, done)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (idx, done) in rx {
-            let (ii, oi) = candidates[idx];
-            let mut report = ModuloRunReport {
-                name: format!("ii={ii}/{}", orders[oi].0),
-                ii,
-                latency: None,
-                pruned: false,
-                poisoned: None,
-                timed_out: false,
-            };
-            match done {
-                Done::Completed { latency, ms } => {
-                    report.latency = Some(latency);
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|b| (ii, latency, idx) < (b.0, b.1, b.2));
-                    if better {
-                        best = Some((ii, latency, idx, ms));
-                    }
-                }
-                Done::Pruned => report.pruned = true,
-                Done::Failed => {}
-                Done::TimedOut => report.timed_out = true,
-                Done::Poisoned(msg) => report.poisoned = Some(msg),
-            }
-            slots[idx] = Some(report);
-        }
-    });
-    let runs: Vec<ModuloRunReport> = slots
-        .into_iter()
-        .map(|r| r.expect("every candidate reports"))
+    let tags: Vec<String> = candidates
+        .iter()
+        .map(|&(ii, oi)| format!("ii={ii}/{}", orders[oi].0))
         .collect();
 
-    match best {
-        Some((ii, latency, idx, ms)) => Ok(ModuloPortfolioOutcome {
-            schedule: ms,
+    let _race_span = hls_obs::obs_span!(ModuloRace, "", candidates.len() as u64);
+    let raced = race::run(
+        WHAT,
+        &tags,
+        cfg.threads,
+        None,
+        || (),
+        |_, index, probe| {
+            let (ii, oi) = candidates[index];
+            // Prune: even a latency-0 completion at this II loses.
+            if probe.loses(score(ii, 0)) {
+                return Ok((End::Pruned, None));
+            }
+            hls_obs::obs_count!(ModuloCandidates);
+            let _span = hls_obs::obs_span!(ModuloCandidate, &tags[index], ii);
+            Ok(match sched.schedule_at(ii, orders[oi].1.as_deref(), budget) {
+                Ok(ms) => {
+                    let latency = ms.latency(g);
+                    (End::Completed(score(ii, latency), ms), Some(latency))
+                }
+                Err(SchedError::Timeout) => (End::TimedOut, None),
+                Err(SchedError::Poisoned(msg)) => (End::Poisoned(msg), None),
+                // Infeasible at that II (or any other placement failure
+                // that only rules out this candidate).
+                Err(_) => (End::Failed, None),
+            })
+        },
+    )?;
+    // Budget exhaustion and panics don't prove the window infeasible,
+    // so the fallback (which would re-run the same work) is pointless
+    // there — surface the typed error instead.
+    if let Some(e) = raced.no_survivor(WHAT, &tags) {
+        return Err(e);
+    }
+    let runs: Vec<ModuloRunReport> = raced
+        .ends
+        .into_iter()
+        .zip(tags)
+        .zip(&candidates)
+        .map(|(((end, latency), name), &(ii, _))| ModuloRunReport {
+            name,
             ii,
-            mii,
-            res_mii: sched.res_mii(),
-            rec_mii: sched.rec_mii(),
             latency,
-            winner_name: runs[idx].name.clone(),
-            runs,
-        }),
-        // Budget exhaustion and panics don't prove the window
-        // infeasible, so the fallback (which would re-run the same
-        // work) is pointless there — surface the typed error instead.
-        None if runs.iter().any(|r| r.timed_out) => Err(SchedError::Timeout),
-        None if runs.iter().all(|r| r.poisoned.is_some() || r.pruned) => {
-            let dead: Vec<&str> = runs
-                .iter()
-                .filter(|r| r.poisoned.is_some())
-                .map(|r| r.name.as_str())
-                .collect();
-            Err(SchedError::Poisoned(format!(
-                "every modulo candidate panicked: {}",
-                dead.join(", ")
-            )))
-        }
+            pruned: matches!(end, End::Pruned),
+            timed_out: matches!(end, End::TimedOut),
+            poisoned: match end {
+                End::Poisoned(msg) => Some(msg),
+                _ => None,
+            },
+        })
+        .collect();
+
+    let (ii, schedule, winner_name) = match raced.best {
+        Some(w) => (candidates[w.index].0, w.value, runs[w.index].name.clone()),
         None => {
             // The whole window failed — every recipe (including the
             // height priority) is proven infeasible there, so the
-            // sequential fallback starts strictly *above* the window.
+            // sequential fallback starts strictly *above* the window,
+            // one step quota per II.
             let mut fallback = None;
             for ii in (mii + cfg.ii_span + 1)..=sched.max_ii() {
-                match sched.schedule_at_budgeted(ii, &cfg.budget) {
+                match sched.schedule_at(ii, None, budget) {
                     Ok(ms) => {
                         fallback = Some((ii, ms));
                         break;
@@ -361,27 +239,27 @@ pub fn run_modulo_portfolio(
                     Err(e) => return Err(e),
                 }
             }
-            let (ii, ms) =
-                fallback.ok_or(SchedError::IiInfeasible(sched.max_ii()))?;
-            Ok(ModuloPortfolioOutcome {
-                latency: ms.latency(g),
-                winner_name: format!("ii={ii}/height (fallback)"),
-                ii,
-                mii,
-                res_mii: sched.res_mii(),
-                rec_mii: sched.rec_mii(),
-                schedule: ms,
-                runs,
-            })
+            let (ii, ms) = fallback.ok_or(SchedError::IiInfeasible(sched.max_ii()))?;
+            (ii, ms, format!("ii={ii}/height (fallback)"))
         }
-    }
+    };
+    Ok(ModuloPortfolioOutcome {
+        latency: schedule.latency(g),
+        schedule,
+        ii,
+        mii,
+        res_mii: sched.res_mii(),
+        rec_mii: sched.rec_mii(),
+        winner_name,
+        runs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hls_ir::schedule::check_modulo;
-    use hls_ir::{bench_graphs, ResourceClass};
+    use hls_ir::{bench_graphs, Budget, ResourceClass};
 
     fn mem_classic(alus: usize, muls: usize) -> ResourceSet {
         ResourceSet::classic(alus, muls).with(ResourceClass::MemPort, 1)
@@ -391,7 +269,7 @@ mod tests {
     fn portfolio_matches_mii_on_the_mac_loop() {
         let g = bench_graphs::mac_loop();
         let r = mem_classic(1, 1);
-        let out = run_modulo_portfolio(&g, &r, &PipelineConfig::default()).unwrap();
+        let out = run_modulo_portfolio(&g, &r, &PipelineConfig::default(), &Budget::NONE).unwrap();
         assert_eq!(out.ii, out.mii);
         assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
         assert!(out.runs.iter().any(|r| r.latency.is_some()));
@@ -403,10 +281,9 @@ mod tests {
         let r = mem_classic(1, 1);
         let cfg = PipelineConfig {
             threads: 2,
-            budget: hls_ir::Budget::steps(1),
             ..PipelineConfig::default()
         };
-        match run_modulo_portfolio(&g, &r, &cfg) {
+        match run_modulo_portfolio(&g, &r, &cfg, &Budget::steps(1)) {
             Err(SchedError::Timeout) => {}
             other => panic!("expected SchedError::Timeout, got {other:?}"),
         }
@@ -422,7 +299,7 @@ mod tests {
                     threads,
                     ..PipelineConfig::default()
                 };
-                let out = run_modulo_portfolio(&g, &r, &cfg).unwrap();
+                let out = run_modulo_portfolio(&g, &r, &cfg, &Budget::NONE).unwrap();
                 results.push(out);
             }
             for w in results.windows(2) {
@@ -440,9 +317,10 @@ mod tests {
             for r in [mem_classic(1, 1), mem_classic(2, 2), mem_classic(2, 1)] {
                 let single = ModuloScheduler::new(g.clone(), r.clone())
                     .unwrap()
-                    .schedule()
+                    .schedule(&Budget::NONE)
                     .unwrap();
-                let out = run_modulo_portfolio(&g, &r, &PipelineConfig::default()).unwrap();
+                let cfg = PipelineConfig::default();
+                let out = run_modulo_portfolio(&g, &r, &cfg, &Budget::NONE).unwrap();
                 assert!(
                     (out.ii, out.latency) <= (single.ii, single.latency),
                     "{name} {r:?}: portfolio ({}, {}) vs sequential ({}, {})",

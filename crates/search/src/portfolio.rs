@@ -2,30 +2,17 @@
 //!
 //! # The race
 //!
-//! Candidates (meta orders) race on OS threads pulled from a shared
-//! work queue. The coordination state is **one atomic `u64`**: the
-//! *incumbent*, the lexicographically smallest `(diameter, slot)` pair
-//! — packed as `diameter << 16 | slot` — over all *completed* runs,
-//! maintained with `fetch_min`. Each run probes the incumbent after
+//! Candidates (meta orders) race on the crate's race executor, scored
+//! by final state diameter. Each run probes the shared incumbent after
 //! every scheduled operation (the early-abort hook of
-//! [`ThreadedScheduler::schedule_all_budgeted`]) and aborts as soon as
-//! `pack(prefix_diameter, slot) > incumbent`:
-//!
-//! * if its prefix diameter already *exceeds* the incumbent diameter
-//!   it can never win (the diameter is monotone, Lemma 4);
-//! * if it *ties* the incumbent diameter but has a larger slot, it can
-//!   at best tie — and ties resolve to the smaller slot, so it still
-//!   cannot win.
-//!
-//! **Determinism.** The winner is `argmin (final_diameter, slot)` over
-//! all candidates, independent of thread count and timing: the argmin
-//! run is never aborted (any abort would need its packed prefix to
-//! exceed the incumbent, but its packed prefix is bounded by its own
-//! packed final, which is the global minimum and hence never above the
-//! incumbent), so it always completes and `fetch_min` lands on its
-//! value. Which *losing* runs abort, and where, does vary with timing
-//! — only their [`RunReport`]s differ, never the result. `DESIGN.md`
-//! §7 spells out the argument.
+//! [`ThreadedScheduler::schedule_all_budgeted`]) with its certified
+//! final-diameter lower bound, and aborts once that bound can no longer
+//! win: the diameter is monotone (Lemma 4), and ties resolve to the
+//! earlier candidate. The argmin run's bound never exceeds its own
+//! final, so it is never aborted and the winner — `argmin
+//! (final_diameter, index)` — does not depend on thread count or
+//! timing; only the losers' [`RunReport`]s do. `DESIGN.md` §7 spells
+//! out the argument.
 //!
 //! # The refinement driver
 //!
@@ -37,24 +24,14 @@
 //! incumbent diameter (strict improvement required), adopt a winner,
 //! and stop after a configured number of improvement-free rounds.
 
+use crate::race::{self, End};
 use crate::{cone, perturb};
 use hls_ir::{OpId, PrecedenceGraph, ResourceSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use threaded_sched::meta::MetaSchedule;
 use threaded_sched::{RunOutcome, SchedError, ThreadedScheduler};
 
-/// Bits of the packed incumbent reserved for the candidate slot.
-const SLOT_BITS: u32 = 16;
-/// Largest raceable candidate count (slot 0 is the external bound).
-const MAX_CANDIDATES: usize = (1 << SLOT_BITS) - 2;
-
-/// Packs a `(diameter, slot)` pair so that `u64` ordering is the
-/// lexicographic ordering of the pair.
-fn pack(diameter: u64, slot: u64) -> u64 {
-    debug_assert!(diameter < 1 << (64 - SLOT_BITS), "diameter overflows the packing");
-    (diameter << SLOT_BITS) | slot
-}
+/// What the race calls its candidates in post-mortems and errors.
+const WHAT: &str = "portfolio strategy";
 
 /// Where a candidate's feed order comes from.
 ///
@@ -139,19 +116,6 @@ pub struct RaceOutcome {
     pub best: Option<RaceWinner>,
 }
 
-/// Workers a [`race`] will actually spawn for a given thread cap and
-/// candidate count: `threads` clamped to the candidate count and to
-/// the machine's physical parallelism. Runs are CPU-bound, so
-/// spawning more workers than cores buys no latency and actively
-/// hurts — oversubscription timeslices all runs to the same pace,
-/// delaying the first completion and with it the incumbent every
-/// abort decision feeds on. Exposed so reporting (BENCH_3) states the
-/// effective parallelism the race used.
-pub fn race_workers(threads: usize, n_candidates: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    threads.clamp(1, n_candidates.max(1)).min(cores)
-}
-
 /// Races `candidates` over `g` on up to `threads` OS threads.
 ///
 /// `bound`, when given, pre-seeds the incumbent with slot 0 at that
@@ -195,109 +159,14 @@ pub fn race(
     // graph validation, chain-cover decomposition, sink-distance
     // sweep and resource floor once instead of once per candidate.
     let template = ThreadedScheduler::new(g.clone(), resources.clone())?;
-    race_from(&template, g, resources, candidates, threads, bound, budget)
-}
-
-/// How one candidate's run ended, as sent over the race channel.
-enum RunResult {
-    /// Ran the whole order; eligible to win. The scheduler is boxed:
-    /// it dwarfs the other variants, and most channel messages are
-    /// non-winners.
-    Completed {
-        scheduled: usize,
-        diameter: u64,
-        scheduler: Box<ThreadedScheduler>,
-        order: Vec<OpId>,
-    },
-    /// Pruned by the incumbent probe.
-    Aborted { scheduled: usize },
-    /// Stopped by the budget.
-    TimedOut { scheduled: usize },
-    /// Panicked mid-run (caught): excluded, race continues.
-    Poisoned { scheduled: usize, msg: String },
-    /// A structural error (bad order, incompatible resources) that
-    /// fails the whole race.
-    Fatal(SchedError),
-}
-
-/// Runs one candidate to a [`RunResult`]. All failure modes are
-/// contained here: scheduler-level panics surface as
-/// [`SchedError::Poisoned`] (the scheduler catches them), and anything
-/// unwinding from order construction is caught by the outer
-/// `catch_unwind`. The run executes inside a fault-injection
-/// [`RunScope`](hls_ir::faultinject::RunScope) named after the
-/// candidate, so the harness can target one strategy of a race
-/// deterministically.
-fn run_candidate(
-    cand: &Candidate,
-    g: &PrecedenceGraph,
-    resources: &ResourceSet,
-    template: &ThreadedScheduler,
-    slot: u64,
-    incumbent: &AtomicU64,
-    budget: &hls_ir::Budget,
-) -> RunResult {
-    hls_obs::obs_count!(StrategySpawned);
-    let _span = hls_obs::obs_span!(PortfolioRun, &cand.name, slot);
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _scope = hls_ir::faultinject::RunScope::enter(&cand.name);
-        let order = cand.source.resolve(g, resources)?;
-        let mut ts = Box::new(template.clone());
-        let outcome = ts.schedule_all_budgeted(order.iter().copied(), budget, |bound| {
-            pack(bound, slot) > incumbent.load(Ordering::Relaxed)
-        });
-        Ok(match outcome {
-            Ok(RunOutcome::Completed) => {
-                let d = ts.diameter();
-                incumbent.fetch_min(pack(d, slot), Ordering::Relaxed);
-                RunResult::Completed {
-                    scheduled: order.len(),
-                    diameter: d,
-                    scheduler: ts,
-                    order,
-                }
-            }
-            Ok(RunOutcome::Aborted { scheduled }) => {
-                hls_obs::obs_count!(StrategyAborted);
-                RunResult::Aborted { scheduled }
-            }
-            Ok(RunOutcome::DeadlineExpired { scheduled }) => {
-                hls_obs::obs_count!(StrategyTimedOut);
-                RunResult::TimedOut { scheduled }
-            }
-            Err(SchedError::Poisoned(msg)) => {
-                poisoned_post_mortem(&cand.name, &msg);
-                RunResult::Poisoned {
-                    scheduled: ts.scheduled_count(),
-                    msg,
-                }
-            }
-            Err(e) => return Err(e),
-        })
-    }));
-    match attempt {
-        Ok(Ok(result)) => result,
-        Ok(Err(e)) => RunResult::Fatal(e),
-        Err(payload) => {
-            let msg = threaded_sched::panic_message(payload.as_ref());
-            poisoned_post_mortem(&cand.name, &msg);
-            RunResult::Poisoned { scheduled: 0, msg }
-        }
-    }
-}
-
-/// Records a poisoned strategy: lifecycle counter, ring marker, and a
-/// flight-recorder dump so the panic leaves a post-mortem even though
-/// the race swallows it and continues.
-fn poisoned_post_mortem(name: &str, msg: &str) {
-    hls_obs::obs_count!(StrategyPoisoned);
-    hls_obs::obs_instant!(PortfolioRun, name, 1);
-    hls_obs::flight::dump(&format!("portfolio strategy '{name}' poisoned: {msg}"));
+    Ok(race_from(&template, g, resources, candidates, threads, bound, budget)?.0)
 }
 
 /// [`race`] with a caller-supplied pristine scheduler — what
 /// [`run_portfolio`] uses so the base race and every refinement round
-/// share one index build instead of re-deriving it per call.
+/// share one index build instead of re-deriving it per call. Next to
+/// the outcome it returns the race's no-survivor verdict (`None` when a
+/// candidate won).
 fn race_from(
     template: &ThreadedScheduler,
     g: &PrecedenceGraph,
@@ -306,116 +175,89 @@ fn race_from(
     threads: usize,
     bound: Option<u64>,
     budget: &hls_ir::Budget,
-) -> Result<RaceOutcome, SchedError> {
-    assert!(
-        candidates.len() <= MAX_CANDIDATES,
-        "too many candidates for the packed incumbent"
-    );
+) -> Result<(RaceOutcome, Option<SchedError>), SchedError> {
     if candidates.is_empty() {
-        return Ok(RaceOutcome {
+        let outcome = RaceOutcome {
             reports: Vec::new(),
             best: None,
-        });
+        };
+        return Ok((outcome, None));
     }
     let _race_span = hls_obs::obs_span!(PortfolioRace, "", candidates.len() as u64);
-    let incumbent = AtomicU64::new(bound.map_or(u64::MAX, |d| pack(d, 0)));
-    let next_job = AtomicUsize::new(0);
-    let workers = race_workers(threads, candidates.len());
-
-    let mut slots: Vec<Option<RunReport>> = Vec::new();
-    slots.resize_with(candidates.len(), || None);
-    let mut best: Option<RaceWinner> = None;
-    let mut errs: Vec<Option<SchedError>> = vec![None; candidates.len()];
-
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, RunResult)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let incumbent = &incumbent;
-            let next_job = &next_job;
-            // One template clone per *worker* (RefCell scratch makes
-            // the scheduler !Sync); each run then clones that copy.
-            let template = template.clone();
-            s.spawn(move || loop {
-                let idx = next_job.fetch_add(1, Ordering::Relaxed);
-                if idx >= candidates.len() {
-                    break;
+    let tags: Vec<&str> = candidates.iter().map(|c| c.name.as_str()).collect();
+    // One template clone per *worker* (RefCell scratch makes the
+    // scheduler !Sync); each run then clones that copy. Scheduler-level
+    // panics surface as `SchedError::Poisoned` (the scheduler catches
+    // them); the executor catches anything else.
+    let raced = race::run(
+        WHAT,
+        &tags,
+        threads,
+        bound,
+        || template.clone(),
+        |template, index, probe| {
+            let cand = &candidates[index];
+            hls_obs::obs_count!(StrategySpawned);
+            let _span = hls_obs::obs_span!(PortfolioRun, &cand.name, index as u64 + 1);
+            let order = cand.source.resolve(g, resources)?;
+            // Boxed: the scheduler dwarfs every other result the
+            // workers send, and most results are losers.
+            let mut ts = Box::new(template.clone());
+            let outcome =
+                ts.schedule_all_budgeted(order.iter().copied(), budget, |b| probe.loses(b));
+            Ok(match outcome {
+                Ok(RunOutcome::Completed) => {
+                    let scheduled = order.len();
+                    (End::Completed(ts.diameter(), (ts, order)), scheduled)
                 }
-                let slot = (idx + 1) as u64;
-                let run = run_candidate(
-                    &candidates[idx],
-                    g,
-                    resources,
-                    &template,
-                    slot,
-                    incumbent,
-                    budget,
-                );
-                if tx.send((idx, run)).is_err() {
-                    break;
+                Ok(RunOutcome::Aborted { scheduled }) => {
+                    hls_obs::obs_count!(StrategyAborted);
+                    (End::Pruned, scheduled)
                 }
-            });
-        }
-        drop(tx);
-        for (idx, run) in rx {
-            let mut report = RunReport {
-                name: candidates[idx].name.clone(),
-                scheduled: 0,
-                diameter: None,
-                poisoned: None,
-                timed_out: false,
-            };
-            match run {
-                RunResult::Completed {
-                    scheduled,
-                    diameter,
-                    scheduler,
-                    order,
-                } => {
-                    report.scheduled = scheduled;
-                    report.diameter = Some(diameter);
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|b| (diameter, idx) < (b.diameter, b.index));
-                    if better {
-                        best = Some(RaceWinner {
-                            diameter,
-                            index: idx,
-                            scheduler: *scheduler,
-                            order,
-                        });
-                    }
+                Ok(RunOutcome::DeadlineExpired { scheduled }) => {
+                    hls_obs::obs_count!(StrategyTimedOut);
+                    (End::TimedOut, scheduled)
                 }
-                RunResult::Aborted { scheduled } => report.scheduled = scheduled,
-                RunResult::TimedOut { scheduled } => {
-                    report.scheduled = scheduled;
-                    report.timed_out = true;
+                Err(SchedError::Poisoned(msg)) => (End::Poisoned(msg), ts.scheduled_count()),
+                Err(e) => return Err(e),
+            })
+        },
+    )?;
+    let verdict = raced.no_survivor(WHAT, &tags);
+    let reports = raced
+        .ends
+        .into_iter()
+        .zip(candidates)
+        .map(|((end, scheduled), cand)| RunReport {
+            name: cand.name.clone(),
+            scheduled,
+            diameter: match end {
+                End::Completed(d, ()) => Some(d),
+                _ => None,
+            },
+            timed_out: matches!(end, End::TimedOut),
+            poisoned: match end {
+                End::Poisoned(msg) => {
+                    hls_obs::obs_count!(StrategyPoisoned);
+                    hls_obs::obs_instant!(PortfolioRun, &cand.name, 1);
+                    Some(msg)
                 }
-                RunResult::Poisoned { scheduled, msg } => {
-                    report.scheduled = scheduled;
-                    report.poisoned = Some(msg);
-                }
-                RunResult::Fatal(e) => {
-                    errs[idx] = Some(e);
-                }
-            }
-            slots[idx] = Some(report);
+                _ => None,
+            },
+        })
+        .collect();
+    let best = raced.best.map(|w| {
+        hls_obs::obs_count!(StrategyWon);
+        hls_obs::obs_instant!(PortfolioRace, &candidates[w.index].name, w.score);
+        let (scheduler, order) = w.value;
+        RaceWinner {
+            diameter: w.score,
+            index: w.index,
+            scheduler: *scheduler,
+            order,
         }
     });
-    // Report the lowest-index failure: arrival order over the channel
-    // is timing-dependent, the candidate list is not.
-    if let Some(e) = errs.into_iter().flatten().next() {
-        return Err(e);
-    }
-    let reports = slots
-        .into_iter()
-        .map(|r| r.expect("every job sends exactly one report"))
-        .collect();
-    if let Some(w) = &best {
-        hls_obs::obs_count!(StrategyWon);
-        hls_obs::obs_instant!(PortfolioRace, &candidates[w.index].name, w.diameter);
-    }
-    Ok(RaceOutcome { reports, best })
+    Ok((RaceOutcome { reports, best }, verdict))
 }
 
 /// Configuration of the feedback-guided refinement loop.
@@ -465,11 +307,6 @@ pub struct PortfolioConfig {
     pub topo_seeds: Vec<u64>,
     /// The feedback-refinement parameters.
     pub refine: RefineConfig,
-    /// Budget applied to every run of the base race and of each
-    /// refinement round; refinement rounds stop launching once its
-    /// wall deadline passes. [`hls_ir::Budget::NONE`] (the default)
-    /// runs unconstrained.
-    pub budget: hls_ir::Budget,
 }
 
 impl Default for PortfolioConfig {
@@ -480,7 +317,6 @@ impl Default for PortfolioConfig {
             random_seeds: vec![0xA11CE, 0xB0B5],
             topo_seeds: vec![0x7E40_0001, 0x7E40_0002],
             refine: RefineConfig::default(),
-            budget: hls_ir::Budget::NONE,
         }
     }
 }
@@ -547,6 +383,11 @@ pub fn base_candidates(cfg: &PortfolioConfig) -> Vec<Candidate> {
 /// seeded perturbation populations race once, then the feedback loop
 /// refines the winner. See the [module docs](self).
 ///
+/// `budget` applies to every run of the base race and of each
+/// refinement round, as in [`race`]; refinement rounds stop launching
+/// once its wall deadline passes. [`hls_ir::Budget::NONE`] runs
+/// unconstrained.
+///
 /// The returned diameter is never worse than the best single meta
 /// schedule in the portfolio (the base race contains them), and the
 /// result is deterministic for a fixed configuration regardless of
@@ -564,36 +405,20 @@ pub fn run_portfolio(
     g: &PrecedenceGraph,
     resources: &ResourceSet,
     cfg: &PortfolioConfig,
+    budget: &hls_ir::Budget,
 ) -> Result<PortfolioOutcome, SchedError> {
     let candidates = base_candidates(cfg);
     // One pristine scheduler (graph validation, chain cover, bound
     // caches) shared by the base race and every refinement round.
     let template = ThreadedScheduler::new(g.clone(), resources.clone())?;
-    let base = race_from(
-        &template,
-        g,
-        resources,
-        &candidates,
-        cfg.threads,
-        None,
-        &cfg.budget,
-    )?;
+    let (base, verdict) =
+        race_from(&template, g, resources, &candidates, cfg.threads, None, budget)?;
     let mut runs = base.reports;
     let Some(win) = base.best else {
         // An unbounded race only fails to produce a winner when every
-        // run was cut down by the budget or by a panic.
-        if runs.iter().any(|r| r.timed_out) {
-            return Err(SchedError::Timeout);
-        }
-        let dead: Vec<&str> = runs
-            .iter()
-            .filter(|r| r.poisoned.is_some())
-            .map(|r| r.name.as_str())
-            .collect();
-        return Err(SchedError::Poisoned(format!(
-            "every portfolio strategy panicked: {}",
-            dead.join(", ")
-        )));
+        // run was cut down by the budget or by a panic (acyclic runs
+        // never merely fail, so the verdict is always set).
+        return Err(verdict.unwrap_or(SchedError::Timeout));
     };
     let initial_diameter = win.diameter;
     let mut winner = win.scheduler;
@@ -608,7 +433,7 @@ pub fn run_portfolio(
         && stall < cfg.refine.stall_rounds
         && rounds < cfg.refine.max_rounds
         && cfg.refine.candidates_per_round > 0
-        && !cfg.budget.wall_expired()
+        && !budget.wall_expired()
     {
         rounds += 1;
         hls_obs::obs_count!(RefineRounds);
@@ -649,14 +474,14 @@ pub fn run_portfolio(
                 }
             })
             .collect();
-        let round = race_from(
+        let (round, _) = race_from(
             &template,
             g,
             resources,
             &perturbed,
             cfg.threads,
             Some(diameter),
-            &cfg.budget,
+            budget,
         )?;
         let mut improved = false;
         if let Some(w) = round.best {
@@ -830,10 +655,9 @@ mod tests {
         let r = ResourceSet::classic(2, 2);
         let cfg = PortfolioConfig {
             threads: 2,
-            budget: hls_ir::Budget::steps(1),
             ..PortfolioConfig::default()
         };
-        match run_portfolio(&g, &r, &cfg) {
+        match run_portfolio(&g, &r, &cfg, &hls_ir::Budget::steps(1)) {
             Err(SchedError::Timeout) => {}
             other => panic!("expected SchedError::Timeout, got {other:?}"),
         }
@@ -847,7 +671,7 @@ mod tests {
             threads: 2,
             ..PortfolioConfig::default()
         };
-        let out = run_portfolio(&g, &r, &cfg).unwrap();
+        let out = run_portfolio(&g, &r, &cfg, &hls_ir::Budget::NONE).unwrap();
         assert!(out.runs.len() >= 8, "base portfolio is 8 strategies");
         assert!(out.diameter <= out.initial_diameter);
         assert_eq!(out.winner.diameter(), out.diameter);

@@ -32,7 +32,6 @@ fn small_config() -> PortfolioConfig {
             slack_band: 0,
             seed: 1,
         },
-        budget: hls_ir::Budget::NONE,
     }
 }
 
@@ -105,7 +104,7 @@ proptest! {
 
         // The portfolio's certified bound and result agree with the
         // oracle.
-        let out = run_portfolio(&g, &r, &small_config()).unwrap();
+        let out = run_portfolio(&g, &r, &small_config(), &hls_ir::Budget::NONE).unwrap();
         prop_assert!(
             out.lower_bound <= optimum,
             "portfolio certifies {} but the exhaustive oracle achieves {}",

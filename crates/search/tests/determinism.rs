@@ -26,7 +26,6 @@ fn config_with_threads(threads: usize) -> PortfolioConfig {
             slack_band: 0,
             seed: 0x5EED_F00D,
         },
-        budget: hls_ir::Budget::NONE,
     }
 }
 
@@ -41,7 +40,8 @@ fn portfolio_is_deterministic_across_thread_counts() {
     for (name, g) in workloads {
         let mut results = Vec::new();
         for threads in [1usize, 2, 8] {
-            let out = run_portfolio(&g, &resources, &config_with_threads(threads)).unwrap();
+            let cfg = config_with_threads(threads);
+            let out = run_portfolio(&g, &resources, &cfg, &hls_ir::Budget::NONE).unwrap();
             out.winner.check_invariants().unwrap();
             results.push((threads, out));
         }
@@ -87,7 +87,8 @@ fn portfolio_never_loses_to_a_single_meta_schedule() {
                 })
                 .min()
                 .unwrap();
-            let out = run_portfolio(&g, &r, &config_with_threads(2)).unwrap();
+            let cfg = config_with_threads(2);
+            let out = run_portfolio(&g, &r, &cfg, &hls_ir::Budget::NONE).unwrap();
             assert!(
                 out.diameter <= best_single,
                 "{name} {:?}: portfolio {} vs best single {best_single}",
@@ -108,7 +109,7 @@ fn refinement_seed_changes_explore_but_never_regress() {
     for seed in [1u64, 2, 3] {
         let mut cfg = config_with_threads(2);
         cfg.refine.seed = seed;
-        let out = run_portfolio(&g, &r, &cfg).unwrap();
+        let out = run_portfolio(&g, &r, &cfg, &hls_ir::Budget::NONE).unwrap();
         assert!(out.diameter <= out.initial_diameter, "seed {seed} regressed");
     }
 }

@@ -21,7 +21,9 @@ fn poisoned_modulo_candidate_is_excluded_and_a_survivor_wins() {
     let _armed = hls_ir::faultinject::arm(
         hls_ir::faultinject::FaultPlan::panic_at(1).in_run(format!("ii={mii}/height")),
     );
-    let out = run_modulo_portfolio(&g, &r, &PipelineConfig::default()).unwrap();
+    hls_obs::flight::clear_last_flight();
+    let out =
+        run_modulo_portfolio(&g, &r, &PipelineConfig::default(), &hls_ir::Budget::NONE).unwrap();
     assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
     let dead = out
         .runs
@@ -30,4 +32,12 @@ fn poisoned_modulo_candidate_is_excluded_and_a_survivor_wins() {
         .expect("the targeted candidate is reported poisoned");
     assert_eq!(dead.name, format!("ii={mii}/height"));
     assert_ne!(out.winner_name, dead.name);
+    // The absorbed panic still leaves a post-mortem naming the race
+    // and the candidate.
+    let flight = hls_obs::flight::last_flight().expect("a poisoned candidate leaves a flight dump");
+    assert!(
+        flight.contains(&format!("modulo candidate 'ii={mii}/height' poisoned")),
+        "flight dump names the candidate: {}",
+        &flight[..flight.len().min(200)]
+    );
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example pipeline`
 
-use soft_hls::ir::{bench_graphs, schedule, ResourceClass, ResourceSet};
+use soft_hls::ir::{bench_graphs, schedule, Budget, ResourceClass, ResourceSet};
 use soft_hls::sched::{ModuloScheduler, SchedError};
 use soft_hls::search::{run_modulo_portfolio, PipelineConfig};
 
@@ -32,7 +32,7 @@ fn main() -> Result<(), SchedError> {
 
         // The modulo portfolio races meta placement orders per
         // candidate II behind one packed (II, latency) incumbent.
-        let out = run_modulo_portfolio(&g, &resources, &PipelineConfig::default())?;
+        let out = run_modulo_portfolio(&g, &resources, &PipelineConfig::default(), &Budget::NONE)?;
         schedule::check_modulo(&g, &resources, &out.schedule)
             .expect("the winner is cycle-accurately legal");
         println!(

@@ -4,12 +4,12 @@
 //!
 //! Run with: `cargo run --release --example portfolio`
 
-use soft_hls::ir::{bench_graphs, generate, ResourceSet};
+use soft_hls::ir::{bench_graphs, generate, Budget, ResourceSet};
 use soft_hls::search::{critical_cone, run_portfolio, PortfolioConfig};
 
 fn show(name: &str, g: &soft_hls::ir::PrecedenceGraph, resources: &ResourceSet) {
     let cfg = PortfolioConfig::default();
-    let out = match run_portfolio(g, resources, &cfg) {
+    let out = match run_portfolio(g, resources, &cfg, &Budget::NONE) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("portfolio failed on {name}: {e}");

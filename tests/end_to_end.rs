@@ -221,7 +221,8 @@ fn portfolio_winner_supports_further_refinement() {
     // it, including the incremental reach-index repair.
     let g = bench_graphs::ewf();
     let r = ResourceSet::classic(2, 2);
-    let out = run_portfolio(&g, &r, &PortfolioConfig::default()).expect("portfolio runs");
+    let out = run_portfolio(&g, &r, &PortfolioConfig::default(), &soft_hls::ir::Budget::NONE)
+        .expect("portfolio runs");
     let mut ts = out.winner;
     let before = ts.diameter();
     let edges: Vec<_> = ts.graph().edges().collect();
