@@ -68,40 +68,6 @@ pub fn pick_spill(
     })
 }
 
-/// Iteratively proposes spills until MAXLIVE fits `budget`, re-deriving
-/// lifetimes through `recompute` after each decision (the caller applies
-/// the decision to its schedule/graph and returns the new lifetimes).
-/// Returns all decisions taken, in order.
-///
-/// `recompute` receives the decision to apply; returning `None` stops
-/// the loop (e.g. the caller could not apply the spill).
-pub fn spill_until_fits(
-    budget: usize,
-    mut lifetimes: Vec<Lifetime>,
-    g: &PrecedenceGraph,
-    mut recompute: impl FnMut(SpillDecision) -> Option<(Vec<Lifetime>, PrecedenceGraph)>,
-) -> Vec<SpillDecision> {
-    let mut decisions = Vec::new();
-    let mut graph = g.clone();
-    let mut guard = 0;
-    while crate::lifetimes::max_live(&lifetimes) > budget {
-        guard += 1;
-        if guard > graph.len() * 4 {
-            break; // Defensive: no progress.
-        }
-        let Some(d) = pick_spill(&graph, &lifetimes) else { break };
-        match recompute(d) {
-            Some((ls, ng)) => {
-                lifetimes = ls;
-                graph = ng;
-                decisions.push(d);
-            }
-            None => break,
-        }
-    }
-    decisions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,41 +105,5 @@ mod tests {
     fn no_spill_needed_for_empty_lifetimes() {
         let g = PrecedenceGraph::new();
         assert_eq!(pick_spill(&g, &[]), None);
-    }
-
-    #[test]
-    fn spill_until_fits_stops_at_budget() {
-        let (g, sched) = pressure_case();
-        let ls = lifetimes(&g, &sched).unwrap();
-        assert_eq!(crate::lifetimes::max_live(&ls), 2);
-        // Budget 1: one spill suffices if the callback splits the long
-        // lifetime into two short ones.
-        let decisions = spill_until_fits(1, ls, &g, |d| {
-            let mut g2 = g.clone();
-            let inserted = g2
-                .splice_on_edge(
-                    d.producer,
-                    d.consumer,
-                    [
-                        (OpKind::Store, 1, "st".to_string()),
-                        (OpKind::Load, 1, "ld".to_string()),
-                    ],
-                )
-                .unwrap();
-            let mut s2 = sched.clone();
-            s2.grow(g2.len());
-            s2.assign(inserted[0], 1, None);
-            s2.assign(inserted[1], 8, None);
-            Some((lifetimes(&g2, &s2).unwrap(), g2))
-        });
-        assert_eq!(decisions.len(), 1);
-    }
-
-    #[test]
-    fn spill_until_fits_respects_caller_abort() {
-        let (g, sched) = pressure_case();
-        let ls = lifetimes(&g, &sched).unwrap();
-        let decisions = spill_until_fits(0, ls, &g, |_| None);
-        assert!(decisions.is_empty());
     }
 }

@@ -40,8 +40,8 @@ pub struct ParallelPoint {
     pub parallel_ms: u128,
     /// Stitched diameter.
     pub parallel_diameter: u64,
-    /// Certified lower bound from the reservation ledger and the
-    /// critical path.
+    /// Certified lower bound: the resource floor folded with the
+    /// critical path ([`ResourceSet::lower_bound`]).
     pub lower_bound: u64,
     /// Partition blocks used.
     pub blocks: usize,
@@ -64,7 +64,10 @@ impl ParallelPoint {
 /// # Panics
 ///
 /// Panics if the workload fails to schedule (cannot happen for the
-/// generated sweep: ALU/MUL ops under `ResourceSet::classic`).
+/// generated sweep: ALU/MUL ops under `ResourceSet::classic`), or if
+/// the run's lower bound is not the graph's static
+/// [`ResourceSet::lower_bound`] (an `O(V + E)` check, outside the
+/// timed region).
 pub fn measure(
     name: &str,
     g: &PrecedenceGraph,
@@ -91,6 +94,11 @@ pub fn measure(
         .expect("sweep workload is valid");
     let run = ps.run().expect("sweep workload is schedulable");
     let parallel_ms = t0.elapsed().as_millis();
+    assert_eq!(
+        run.lower_bound,
+        resources.lower_bound(g),
+        "{name}: the parallel run's lower bound is not the static certified bound"
+    );
 
     ParallelPoint {
         name: name.to_string(),

@@ -450,31 +450,20 @@ impl ModuloScheduler {
     }
 }
 
-/// The resource-minimum II: for every distinct compatible-unit set,
-/// `⌈Σ delay / #units⌉`, folded with the largest single resource-op
-/// delay (a non-pipelined unit is busy `delay` slots out of every II).
+/// The resource-minimum II: the [resource floor](ResourceSet::work_floor)
+/// folded with the largest single resource-op delay (a non-pipelined
+/// unit is busy `delay` slots out of every II).
 pub fn res_mii(g: &PrecedenceGraph, resources: &ResourceSet) -> u64 {
-    let mut groups: Vec<(Vec<usize>, u64)> = Vec::new();
-    let mut floor = 0u64;
-    for v in g.op_ids() {
-        let kind = g.kind(v);
-        if kind.resource_class() == ResourceClass::Wire {
-            continue;
-        }
-        let units = resources.compatible_units(kind);
-        if units.is_empty() {
-            continue; // construction rejects this; keep the bound sane
-        }
-        floor = floor.max(g.delay(v));
-        match groups.iter_mut().find(|(u, _)| *u == units) {
-            Some((_, w)) => *w += g.delay(v),
-            None => groups.push((units, g.delay(v))),
-        }
-    }
-    for (units, work) in groups {
-        floor = floor.max(work.div_ceil(units.len() as u64));
-    }
-    floor
+    let longest = g
+        .op_ids()
+        .filter(|&v| {
+            let class = g.kind(v).resource_class();
+            class != ResourceClass::Wire && resources.count_of(class) > 0
+        })
+        .map(|v| g.delay(v))
+        .max()
+        .unwrap_or(0);
+    resources.work_floor(g).max(longest)
 }
 
 /// The recurrence-minimum II: the smallest `II ≥ 1` under which no

@@ -13,11 +13,9 @@
 //!    the ordinary [`ThreadedScheduler`] on each induced subgraph with
 //!    the *full* resource set — each block time-slices the same
 //!    functional units, so per-unit chains concatenate across blocks.
-//!    Workers share an atomic per-unit-set reservation ledger: each
-//!    committed block deposits its delay-sums and folds the implied
-//!    work floor `⌈ΣW_U / |U|⌉` into a certified lower bound on any
-//!    complete schedule, the partition-parallel analogue of the
-//!    portfolio's packed atomic incumbent.
+//!    Blocks share nothing while they run: the certified lower bound
+//!    is static ([`ResourceSet::lower_bound`]), read from the graph,
+//!    not from the blocks.
 //! 3. **Stitch.** Per-unit chains are concatenated in block (quotient
 //!    topological) order, and the cut edges are spliced back: one
 //!    linear longest-path pass over the combined threaded graph
@@ -47,12 +45,11 @@
 //! ECO refinement (`refine_splice`, `refine_graft`) continues to work
 //! on partition-parallel results exactly as on sequential ones.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hls_ir::partition::{self, Partition, PartitionConfig};
-use hls_ir::{HardSchedule, OpId, PrecedenceGraph, ResourceClass, ResourceSet};
+use hls_ir::{HardSchedule, OpId, PrecedenceGraph, ResourceSet};
 
 use crate::meta::MetaSchedule;
 use crate::threaded::{Placement, ThreadedScheduler};
@@ -100,9 +97,9 @@ pub struct ParallelRun {
     pub schedule: HardSchedule,
     /// Stitched state diameter (`max` finish time).
     pub diameter: u64,
-    /// Certified lower bound on any complete schedule of this graph:
-    /// `max` of the atomic reservation ledger's per-unit-set work
-    /// floors and the behavior critical path. Always `<= diameter`.
+    /// Certified lower bound on any complete schedule of this graph,
+    /// [`ResourceSet::lower_bound`]: `max` of the resource floor and
+    /// the behavior critical path, on both paths. Always `<= diameter`.
     pub lower_bound: u64,
     /// Per-unit chains of the stitched state, in execution order.
     pub unit_threads: Vec<Vec<OpId>>,
@@ -187,12 +184,12 @@ impl ParallelScheduler {
             return self.run_sequential();
         }
         let blocks = self.partition.blocks();
-        let (outs, ledger_floor) = {
+        let outs = {
             let _span = hls_obs::obs_span!(ParallelBlocks, "", blocks.len() as u64);
             self.schedule_blocks(&blocks)?
         };
         let _span = hls_obs::obs_span!(ParallelStitch, "", blocks.len() as u64);
-        self.stitch(&blocks, &outs, ledger_floor)
+        self.stitch(&blocks, &outs)
     }
 
     /// The small-graph path: the plain sequential engine, bit-identical
@@ -205,7 +202,7 @@ impl ParallelScheduler {
         let unit_threads = (0..self.resources.k()).map(|k| ts.chain(k)).collect();
         Ok(ParallelRun {
             diameter: ts.diameter(),
-            lower_bound: ts.final_lower_bound(),
+            lower_bound: ts.schedule_lower_bound(),
             schedule,
             unit_threads,
             meta_order: order,
@@ -214,44 +211,9 @@ impl ParallelScheduler {
         })
     }
 
-    /// Schedules every block on `cfg.workers` scoped threads sharing
-    /// the atomic reservation ledger. Returns the block outputs plus
-    /// the ledger's folded work floor (order-independent, so it is
-    /// deterministic across worker counts).
-    fn schedule_blocks(
-        &self,
-        blocks: &[Vec<OpId>],
-    ) -> Result<(Vec<BlockOut>, u64), SchedError> {
-        // Per-unit-set reservation groups: ops sharing the same
-        // compatible-unit set serialise on those units, so each group's
-        // delay-sum over unit-count floors the final diameter.
-        let mut groups: HashMap<Vec<usize>, usize> = HashMap::new();
-        let mut group_units: Vec<u64> = Vec::new();
-        let mut group_of_kind: Vec<(hls_ir::OpKind, Option<usize>)> = Vec::new();
-        let mut group_of = |kind: hls_ir::OpKind, resources: &ResourceSet| -> Option<usize> {
-            if let Some(&(_, gid)) = group_of_kind.iter().find(|(k, _)| *k == kind) {
-                return gid;
-            }
-            let units = resources.compatible_units(kind);
-            let gid = if units.is_empty() || kind.resource_class() == ResourceClass::Wire {
-                None
-            } else {
-                Some(*groups.entry(units.clone()).or_insert_with(|| {
-                    group_units.push(units.len() as u64);
-                    group_units.len() - 1
-                }))
-            };
-            group_of_kind.push((kind, gid));
-            gid
-        };
-        let mut op_group: Vec<u32> = Vec::with_capacity(self.g.len());
-        for v in self.g.op_ids() {
-            op_group
-                .push(group_of(self.g.kind(v), &self.resources).map_or(u32::MAX, |g| g as u32));
-        }
-
-        let ledger: Vec<AtomicU64> = group_units.iter().map(|_| AtomicU64::new(0)).collect();
-        let floor = AtomicU64::new(0);
+    /// Schedules every block on `cfg.workers` scoped threads and
+    /// returns the block outputs in block order.
+    fn schedule_blocks(&self, blocks: &[Vec<OpId>]) -> Result<Vec<BlockOut>, SchedError> {
         let next = AtomicUsize::new(0);
         let outs: Mutex<Vec<Option<BlockOut>>> = Mutex::new((0..blocks.len()).map(|_| None).collect());
         let failure: Mutex<Option<SchedError>> = Mutex::new(None);
@@ -274,25 +236,7 @@ impl ParallelScheduler {
                     }
                 };
                 match result {
-                    Ok(out) => {
-                        // Deposit this block's work into the shared
-                        // reservation ledger and fold the implied floor.
-                        for &v in &blocks[b] {
-                            let gid = op_group[v.index()];
-                            if gid == u32::MAX {
-                                continue;
-                            }
-                            let w = self.g.delay(v);
-                            if w == 0 {
-                                continue;
-                            }
-                            let total =
-                                ledger[gid as usize].fetch_add(w, Ordering::Relaxed) + w;
-                            let bound = total.div_ceil(group_units[gid as usize]);
-                            floor.fetch_max(bound, Ordering::Relaxed);
-                        }
-                        outs.lock().unwrap()[b] = Some(out);
-                    }
+                    Ok(out) => outs.lock().unwrap()[b] = Some(out),
                     Err(e) => {
                         failure.lock().unwrap().get_or_insert(e);
                     }
@@ -319,7 +263,7 @@ impl ParallelScheduler {
         for (b, o) in outs.into_iter().enumerate() {
             done.push(o.unwrap_or_else(|| panic!("block {b} finished without a result")));
         }
-        Ok((done, floor.load(Ordering::Relaxed)))
+        Ok(done)
     }
 
     /// Schedules one block's induced subgraph with the ordinary
@@ -358,12 +302,7 @@ impl ParallelScheduler {
     /// computes start times by one longest-path sweep over the combined
     /// threaded graph — behavior edges (cut edges included) plus chain
     /// edges. See the module docs for the acyclicity argument.
-    fn stitch(
-        &self,
-        blocks: &[Vec<OpId>],
-        outs: &[BlockOut],
-        ledger_floor: u64,
-    ) -> Result<ParallelRun, SchedError> {
+    fn stitch(&self, blocks: &[Vec<OpId>], outs: &[BlockOut]) -> Result<ParallelRun, SchedError> {
         let n = self.g.len();
         let k = self.resources.k();
         let mut schedule = HardSchedule::new(n);
@@ -482,12 +421,10 @@ impl ParallelScheduler {
             }
         }
 
-        let cp = hls_ir::algo::sink_distances(&self.g).into_iter().max().unwrap_or(0);
-        let lower_bound = cp.max(ledger_floor);
         Ok(ParallelRun {
             schedule,
             diameter,
-            lower_bound,
+            lower_bound: self.resources.lower_bound(&self.g),
             unit_threads,
             meta_order,
             cut_edges: self.partition.cut_size(&self.g),

@@ -224,10 +224,7 @@ pub struct ThreadedScheduler {
     /// condition). Much tighter than the prefix diameter early in a
     /// run; see [`ThreadedScheduler::final_lower_bound`].
     proj: u64,
-    /// Static resource floor: for every group of operations sharing
-    /// the same compatible-unit set, the group's delay-sum divided by
-    /// the unit count. Any completed schedule serialises that work on
-    /// those units, so its diameter is at least the floor — the
+    /// Cached [`ResourceSet::work_floor`] of the working graph — the
     /// binding term of the lower bound on resource-bound workloads.
     res_floor: u64,
     // ---- structure-of-arrays node storage ----
@@ -316,7 +313,7 @@ impl ThreadedScheduler {
         for _ in 0..k {
             ts.push_thread();
         }
-        ts.res_floor = ts.resource_floor();
+        ts.res_floor = ts.resources.work_floor(&ts.core.g);
         Ok(ts)
     }
 
@@ -1259,7 +1256,7 @@ impl ThreadedScheduler {
         if self.final_lower_bound() < self.diam {
             return Err("final lower bound below the diameter".to_string());
         }
-        if self.res_floor != self.resource_floor() {
+        if self.res_floor != self.resources.work_floor(&self.core.g) {
             return Err("stale resource floor".to_string());
         }
         for n in 0..n_nodes {
@@ -1803,40 +1800,11 @@ impl ThreadedScheduler {
     fn refresh_proj(&mut self) {
         let core = Arc::make_mut(&mut self.core);
         core.gdist = hls_ir::algo::sink_distances(&core.g);
+        self.res_floor = self.resources.work_floor(&core.g);
         self.proj = 0;
         for n in 0..self.op_of.len() {
             self.note_proj(n);
         }
-        self.res_floor = self.resource_floor();
-    }
-
-    /// Computes the static resource floor: operations are grouped by
-    /// their exact compatible-unit set; each group's delay-sum must
-    /// serialise over its units, so `⌈W_U / |U|⌉` lower-bounds every
-    /// completed schedule. Wire-class operations occupy no unit and
-    /// are exempt. Cold path only (`O(|V| · K)`).
-    fn resource_floor(&self) -> u64 {
-        let k = self.resources.k();
-        let mut groups: std::collections::HashMap<Vec<bool>, u64> =
-            std::collections::HashMap::new();
-        for v in self.core.g.op_ids() {
-            let kind = self.core.g.kind(v);
-            if kind.resource_class() == ResourceClass::Wire {
-                continue;
-            }
-            let set: Vec<bool> = (0..k).map(|u| self.resources.compatible(u, kind)).collect();
-            if set.iter().any(|&b| b) {
-                *groups.entry(set).or_insert(0) += self.core.g.delay(v);
-            }
-        }
-        groups
-            .iter()
-            .map(|(set, &w)| {
-                let units = set.iter().filter(|&&b| b).count() as u64;
-                w.div_ceil(units)
-            })
-            .max()
-            .unwrap_or(0)
     }
 
     /// Increase-only relaxation of `sdist` and the backward reach

@@ -16,8 +16,9 @@
 //!    path does not depend on the partition), and forced-partition
 //!    diameters stay within the pinned quality band of each other.
 //! 3. **Stitch validity.** The forced partition path always produces a
-//!    valid schedule; its diameter never beats the certified lower
-//!    bound and stays within the pinned band of the sequential
+//!    valid schedule; its certified lower bound is the sequential
+//!    engine's `schedule_lower_bound` (as on the sequential path), and
+//!    its diameter stays within the pinned band of the sequential
 //!    diameter; materialising the stitched state back into a live
 //!    `ThreadedScheduler` passes the full `check_invariants`
 //!    cross-validation and reproduces the stitched diameter exactly.
@@ -73,6 +74,12 @@ fn workers() -> usize {
         .unwrap_or(8)
 }
 
+fn certified_bound(g: &PrecedenceGraph, resources: &ResourceSet) -> u64 {
+    ThreadedScheduler::new(g.clone(), resources.clone())
+        .unwrap()
+        .schedule_lower_bound()
+}
+
 fn sequential_diameter(g: &PrecedenceGraph, resources: &ResourceSet) -> u64 {
     let order = MetaSchedule::Topological.order(g, resources).unwrap();
     let mut ts = ThreadedScheduler::new(g.clone(), resources.clone()).unwrap();
@@ -106,6 +113,7 @@ fn golden_equivalence_below_cutoff() {
                 .unwrap();
         let run = ps.run().unwrap();
         assert_eq!(run.diameter, ts.diameter(), "{name}: diameter diverged");
+        assert_eq!(run.lower_bound, ts.schedule_lower_bound(), "{name}: lower bound");
         schedule::validate(&g, &resources, &run.schedule)
             .unwrap_or_else(|e| panic!("{name}: invalid parallel schedule: {e}"));
         for v in g.op_ids() {
@@ -180,6 +188,23 @@ fn sequential_cutoff_boundary_8191_8192_8193() {
     }
 }
 
+/// At or below the cutoff the reported bound is the certified static
+/// bound, not the finished schedule's own diameter: HAL under
+/// `classic(2,2)` schedules to 8 states, but only 6 are certified.
+#[test]
+fn sequential_path_reports_the_certified_bound_not_the_diameter() {
+    let resources = ResourceSet::classic(2, 2);
+    let g = bench_graphs::hal();
+    let run = ParallelScheduler::new(g.clone(), resources.clone(), ParallelConfig::default())
+        .unwrap()
+        .run()
+        .unwrap();
+    assert!(run.block_diameters.is_empty(), "HAL takes the sequential path");
+    assert_eq!(run.diameter, 8);
+    assert_eq!(run.lower_bound, 6);
+    assert_eq!(run.lower_bound, certified_bound(&g, &resources));
+}
+
 #[test]
 fn default_config_is_partition_count_invariant_below_cutoff() {
     let resources = ResourceSet::classic(2, 2);
@@ -218,11 +243,10 @@ fn forced_stitch_is_valid_bounded_and_materializable() {
             let run = ps.run().unwrap();
             schedule::validate(&g, &resources, &run.schedule)
                 .unwrap_or_else(|e| panic!("{name}/{parts}: invalid stitched schedule: {e}"));
-            assert!(
-                run.lower_bound <= run.diameter,
-                "{name}/{parts}: certified bound {} above stitched diameter {}",
+            assert_eq!(
                 run.lower_bound,
-                run.diameter
+                certified_bound(&g, &resources),
+                "{name}/{parts}: stitched lower bound"
             );
             assert!(
                 run.lower_bound <= seq,
@@ -329,7 +353,11 @@ fn stitched_schedule_invariant_fuzzing() {
         let run = ps.run().unwrap();
         schedule::validate(&g, &resources, &run.schedule)
             .unwrap_or_else(|e| panic!("case {case}: invalid schedule: {e}"));
-        assert!(run.lower_bound <= run.diameter, "case {case}: bound above diameter");
+        assert_eq!(
+            run.lower_bound,
+            certified_bound(&g, &resources),
+            "case {case}: stitched lower bound"
+        );
         let ts = ps.materialize(&run).unwrap();
         ts.check_invariants().unwrap_or_else(|e| panic!("case {case}: invariants: {e}"));
         assert_eq!(ts.diameter(), run.diameter, "case {case}: materialized diameter");

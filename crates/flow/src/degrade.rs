@@ -14,8 +14,10 @@
 //! 3. [`DegradeRung::ListSchedule`] — rung 2's engine with its meta
 //!    order set to list scheduling, under the full budget;
 //! 4. [`DegradeRung::BoundOnly`] — no schedule at all: the certified
-//!    lower bound ([`ThreadedScheduler::schedule_lower_bound`]), which
-//!    needs no commits and therefore no budget.
+//!    lower bound
+//!    ([`ResourceSet::lower_bound`](hls_ir::ResourceSet::lower_bound)),
+//!    read from the graph in `O(V + E)` with no index and no commits,
+//!    and therefore no budget.
 //!
 //! A rung is abandoned only for *recoverable* failures — its budget
 //! slice expired ([`DegradeReason::Timeout`]), it panicked
@@ -32,7 +34,7 @@
 
 use crate::flow::{Engine, FlowConfig, FlowError, FlowOutcome};
 use hls_ir::{Budget, PrecedenceGraph};
-use threaded_sched::{meta::MetaSchedule, ParallelConfig, ThreadedScheduler};
+use threaded_sched::{meta::MetaSchedule, ParallelConfig, SchedError};
 
 /// One rung of the degradation ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,17 +170,19 @@ pub fn run_flow_degraded(
         }
     }
 
-    // Bound-only: the certified lower bound needs graph validation and
-    // the chain-cover index but not a single commit, so it answers
-    // even with a fully exhausted budget. Loop kernels are bounded on
-    // their one-iteration kernel DAG.
+    // Bound-only: the certified lower bound needs graph validation but
+    // no index and not a single commit, so it answers even with a
+    // fully exhausted budget. Loop kernels are bounded on their
+    // one-iteration kernel DAG.
+    let kernel;
     let g = if graph.has_loop_edges() {
-        graph.kernel_dag()
+        kernel = graph.kernel_dag();
+        &kernel
     } else {
-        graph.clone()
+        graph
     };
-    let lower_bound =
-        ThreadedScheduler::new(g, config.resources.clone())?.schedule_lower_bound();
+    g.validate().map_err(SchedError::from)?;
+    let lower_bound = config.resources.lower_bound(g);
     answered_at(DegradeRung::BoundOnly);
     Ok(DegradedOutcome {
         rung: DegradeRung::BoundOnly,

@@ -20,8 +20,7 @@ pub enum Engine {
     Meta(MetaSchedule),
     /// The parallel portfolio + feedback refinement
     /// ([`hls_search::run_portfolio`]), deterministic whatever its
-    /// thread count, under its own budget tightened by
-    /// [`FlowConfig::budget`].
+    /// thread count, under [`FlowConfig::budget`].
     Portfolio(hls_search::PortfolioConfig),
     /// The partition-parallel engine
     /// ([`threaded_sched::ParallelScheduler`]) with the config's own
@@ -69,8 +68,9 @@ pub struct FlowConfig {
     /// Delay model (for φ-resolution move delay).
     pub delays: DelayModel,
     /// Budget of the modulo portfolio and the engine (but see
-    /// [`Engine::Parallel`]), tightened by any budget their own configs
-    /// carry. An expired budget surfaces as [`FlowError::Timeout`];
+    /// [`Engine::Parallel`]); its wall deadline also bounds the spills
+    /// and wire-delay splices after scheduling. An expired budget
+    /// surfaces as [`FlowError::Timeout`];
     /// [`crate::run_flow_degraded`] instead walks the degradation
     /// ladder. The default is unlimited.
     pub budget: hls_ir::Budget,
@@ -200,7 +200,7 @@ pub enum FlowError {
     Invalid(String),
     /// Lifetime extraction failed (internal bug guard).
     Lifetime(String),
-    /// The [`FlowConfig::budget`] expired before a schedule was
+    /// The [`FlowConfig::budget`] expired before a design was
     /// produced. [`crate::run_flow_degraded`] turns this into a
     /// descent down the degradation ladder instead.
     Timeout,
@@ -226,7 +226,7 @@ impl fmt::Display for FlowError {
             FlowError::Sched(e) => write!(f, "scheduler: {e}"),
             FlowError::Invalid(msg) => write!(f, "invalid extracted schedule: {msg}"),
             FlowError::Lifetime(msg) => write!(f, "lifetime extraction: {msg}"),
-            FlowError::Timeout => write!(f, "flow budget expired before a schedule was produced"),
+            FlowError::Timeout => write!(f, "flow budget expired before a design was produced"),
             FlowError::Poisoned(msg) => write!(f, "scheduling phase panicked: {msg}"),
             FlowError::Malformed(msg) => write!(f, "malformed DFG input: {msg}"),
             FlowError::ResourceExhausted(msg) => write!(f, "resource exhausted: {msg}"),
@@ -481,25 +481,29 @@ pub(crate) fn run_engine(
         }
     };
     drop(_sched_span);
-    finish_flow(ts, pipeline, modulo, config)
+    finish_flow(ts, pipeline, modulo, config, budget)
 }
 
 /// The post-scheduling phases of [`run_flow`]: spilling, φ
-/// resolution, placement, extraction and the FSMD.
+/// resolution, placement, extraction and the FSMD. Each spill and
+/// each wire-delay splice first checks `budget`'s wall deadline (its
+/// step quota counts scheduling commits only).
 fn finish_flow(
     mut ts: ThreadedScheduler,
     pipeline: Option<PipelineReport>,
     modulo: Option<hls_ir::ModuloSchedule>,
     config: &FlowConfig,
+    budget: &hls_ir::Budget,
 ) -> Result<FlowOutcome, FlowError> {
     let initial_states = ts.diameter();
 
     // 2. Register allocation with spilling, absorbed softly. Spilling
-    // stops at the budget, on stall (pressure no longer dropping — the
-    // remaining pressure is inherent), or at a hard bound.
+    // stops at the register budget, on stall (pressure no longer
+    // dropping — the remaining pressure is inherent), or at a hard
+    // bound.
     let spill_span = hls_obs::obs_span!(FlowSpill);
     let mut spills = 0usize;
-    if let Some(budget) = config.register_budget {
+    if let Some(registers) = config.register_budget {
         let max_spills = ts.graph().len();
         let mut best_pressure = usize::MAX;
         let mut stalled = 0usize;
@@ -508,7 +512,7 @@ fn finish_flow(
             let ls = lifetimes::lifetimes(ts.graph(), &hard)
                 .map_err(|e| FlowError::Lifetime(e.to_string()))?;
             let pressure = left_edge::allocate(&ls).register_count();
-            if pressure <= budget {
+            if pressure <= registers {
                 break;
             }
             if pressure < best_pressure {
@@ -523,6 +527,9 @@ fn finish_flow(
             let Some(decision) = spill::pick_spill(ts.graph(), &ls) else {
                 break;
             };
+            if budget.wall_expired() {
+                return Err(FlowError::Timeout);
+            }
             refine::insert_spill(&mut ts, decision.producer, decision.consumer)?;
             spills += 1;
         }
@@ -575,6 +582,9 @@ fn finish_flow(
     let transfers = annotate(ts.graph(), &hard, &floorplan, config.wire_model);
     let wire_delays = transfers.len();
     for t in transfers {
+        if budget.wall_expired() {
+            return Err(FlowError::Timeout);
+        }
         refine::insert_wire_delay(&mut ts, t.from, t.to, t.cycles)?;
     }
 

@@ -246,3 +246,44 @@ fn clock_skew_expires_a_wall_deadline_without_waiting() {
         "the deadline fired on the virtual clock, not the real one"
     );
 }
+
+#[test]
+fn a_wall_deadline_after_scheduling_stops_the_spills_and_splices() {
+    // Each commit advances the virtual clock by `step`, and the
+    // deadline falls half a step after the last scheduling commit: the
+    // schedule completes, the first spill or wire-delay splice commits,
+    // and the check before the second one sees the expiry. Each case
+    // has only one kind of refinement, so each check is pinned alone.
+    let g = bench_graphs::ewf();
+    let step = Duration::from_secs(10);
+    let splices = FlowConfig {
+        wire_model: hls_phys::WireModel::new(1),
+        ..FlowConfig::default()
+    };
+    let spills = FlowConfig {
+        register_budget: Some(1),
+        wire_model: hls_phys::WireModel::new(u64::MAX),
+        ..FlowConfig::default()
+    };
+    let _armed = arm(FaultPlan {
+        clock_skew_per_commit: step,
+        ..FaultPlan::default()
+    });
+    for (name, cfg) in [("splices", splices), ("spills", spills)] {
+        let r = run_flow(g.clone(), &cfg).unwrap().report;
+        let counts = if name == "splices" {
+            (r.wire_delays, r.spills)
+        } else {
+            (r.spills, r.wire_delays)
+        };
+        assert!(
+            counts.0 >= 2 && counts.1 == 0,
+            "{name}: the case needs two refinements of one kind: {r:?}"
+        );
+        // A fresh scope restarts the commit count the clock reads.
+        let _scope = hls_ir::faultinject::RunScope::enter(name);
+        let budget = Budget::deadline_in(step * g.len() as u32 + step / 2);
+        let err = run_flow(g.clone(), &FlowConfig { budget, ..cfg }).unwrap_err();
+        assert_eq!(err, FlowError::Timeout, "{name}");
+    }
+}

@@ -6,7 +6,7 @@
 //! delay. The paper's experiments use allocations written like `2+/- 2*`
 //! (two ALUs, two multipliers); [`ResourceSet::classic`] builds those.
 
-use crate::{OpKind, ResourceClass};
+use crate::{OpKind, PrecedenceGraph, ResourceClass};
 use std::fmt;
 
 /// A fixed allocation of functional-unit instances.
@@ -95,6 +95,56 @@ impl ResourceSet {
             .iter()
             .filter(|u| u.is_none() || **u == Some(class))
             .count()
+    }
+
+    /// The static resource floor of `g` on these units: operations
+    /// sharing one compatible-unit set serialise their delay-sum over
+    /// those units, so `⌈Σ delay / #units⌉` of every distinct set
+    /// lower-bounds the length of any complete schedule. Wire-class
+    /// operations and operations no unit can execute occupy no unit
+    /// and are skipped.
+    ///
+    /// A kind's unit set depends only on its class: a class with typed
+    /// units runs on those plus the universal ones, and every class
+    /// without typed units shares the universal units alone. So delays
+    /// are summed per [`OpKind`] and no per-op set is built —
+    /// `O(|V| + k)`, allocation-free.
+    pub fn work_floor(&self, g: &PrecedenceGraph) -> u64 {
+        let mut work = [0u64; OpKind::ALL.len()];
+        for v in g.op_ids() {
+            work[g.kind(v) as usize] += g.delay(v);
+        }
+        let universal = self.units.iter().filter(|u| u.is_none()).count() as u64;
+        let mut floor = 0;
+        let mut shared = 0;
+        for class in ResourceClass::UNITS {
+            let w: u64 = OpKind::ALL
+                .iter()
+                .filter(|k| k.resource_class() == class)
+                .map(|&k| work[k as usize])
+                .sum();
+            let units = self.count_of(class) as u64;
+            if units > universal {
+                floor = floor.max(w.div_ceil(units));
+            } else {
+                shared += w;
+            }
+        }
+        if universal > 0 {
+            floor = floor.max(shared.div_ceil(universal));
+        }
+        floor
+    }
+
+    /// The certified lower bound on any complete schedule of `g` on
+    /// these units: `max(‖G‖, work_floor)`. A schedule this long is
+    /// provably optimal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is cyclic.
+    pub fn lower_bound(&self, g: &PrecedenceGraph) -> u64 {
+        self.work_floor(g).max(crate::algo::diameter(g))
     }
 }
 
