@@ -448,8 +448,8 @@ fn serve(quick: bool) -> Json {
 fn parallel(cli: &Cli) {
     const WORKERS: usize = 8;
     let sizes = [20_000usize, 100_000, 300_000, 1_000_000];
-    let sequential_cutoff = if cli.quick { 100_000 } else { usize::MAX };
-    let mut points = parallel::run_study(&sizes, WORKERS, sequential_cutoff);
+    let reference_max_ops = if cli.quick { 100_000 } else { usize::MAX };
+    let mut points = parallel::run_study(&sizes, WORKERS, reference_max_ops);
     if let Some(spec) = &cli.graph {
         match parallel::measure_spec(spec, WORKERS, true) {
             Ok(p) => points.push(p),

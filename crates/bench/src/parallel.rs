@@ -58,7 +58,7 @@ impl ParallelPoint {
 }
 
 /// Measures one graph under both engines. `workers` sizes the parallel
-/// pool; `run_sequential` gates the (possibly minutes-long) sequential
+/// pool; `with_reference` gates the (possibly minutes-long) sequential
 /// reference.
 ///
 /// # Panics
@@ -73,9 +73,9 @@ pub fn measure(
     g: &PrecedenceGraph,
     resources: &ResourceSet,
     workers: usize,
-    run_sequential: bool,
+    with_reference: bool,
 ) -> ParallelPoint {
-    let (sequential_ms, sequential_diameter) = if run_sequential {
+    let (sequential_ms, sequential_diameter) = if with_reference {
         let t0 = Instant::now();
         let order = MetaSchedule::Topological
             .order(g, resources)
@@ -88,7 +88,7 @@ pub fn measure(
         (None, None)
     };
 
-    let cfg = ParallelConfig { workers, sequential_cutoff: 0, ..ParallelConfig::default() };
+    let cfg = ParallelConfig { workers, ..ParallelConfig::default() };
     let t0 = Instant::now();
     let ps = ParallelScheduler::new(g.clone(), resources.clone(), cfg)
         .expect("sweep workload is valid");
@@ -124,24 +124,24 @@ pub fn measure(
 pub fn measure_spec(
     spec: &str,
     workers: usize,
-    run_sequential: bool,
+    with_reference: bool,
 ) -> Result<ParallelPoint, load::LoadError> {
     let (name, g) = load::load_graph(spec)?;
     let resources = ResourceSet::classic(2, 2);
-    Ok(measure(&name, &g, &resources, workers, run_sequential))
+    Ok(measure(&name, &g, &resources, workers, with_reference))
 }
 
 /// Runs the scaling study. The sequential reference runs at every
-/// size at or below `sequential_cutoff` ops (above it only the
+/// size at or below `reference_max_ops` ops (above it only the
 /// parallel engine runs — quick mode uses this to keep CI smokes
 /// inside their timeout).
-pub fn run_study(sizes: &[usize], workers: usize, sequential_cutoff: usize) -> Vec<ParallelPoint> {
+pub fn run_study(sizes: &[usize], workers: usize, reference_max_ops: usize) -> Vec<ParallelPoint> {
     let resources = ResourceSet::classic(2, 2);
     sizes
         .iter()
         .map(|&n| {
             let g = generate::layered_dag(0x5EED ^ n as u64, &sweep_config(n));
-            measure(&format!("sweep-{n}"), &g, &resources, workers, n <= sequential_cutoff)
+            measure(&format!("sweep-{n}"), &g, &resources, workers, n <= reference_max_ops)
         })
         .collect()
 }

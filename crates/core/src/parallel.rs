@@ -24,26 +24,23 @@
 //!    edges never cross blocks backwards, chain edges are intra-block
 //!    or seam-forward — so the stitched schedule is always valid.
 //!
-//! Below [`ParallelConfig::sequential_cutoff`] the partition overhead
-//! cannot pay for itself, so `run` uses the sequential engine directly
-//! — the small-graph semantics of the parallel scheduler are
-//! *bit-identical* to [`ThreadedScheduler`], which is what the golden
-//! equivalence suite pins. Above the cutoff, the stitched result is
-//! valid by construction and its quality is pinned differentially
-//! (see `crates/core/tests/parallel_golden.rs`).
+//! Every run partitions, whatever the graph's size: the stitched
+//! result is valid by construction and its quality is pinned
+//! differentially against the sequential engine (see
+//! `crates/core/tests/parallel_golden.rs`).
 //!
 //! Results are deterministic in (graph, resources, config): block
 //! schedules depend only on their subgraph, never on which worker ran
 //! them or in what order — so 1, 2 and 8 workers produce bit-identical
 //! schedules.
 //!
-//! A stitched run can be materialised back into a live
-//! [`ThreadedScheduler`] with [`ParallelScheduler::materialize`]: the
-//! stitched placement is replayed through the engine's own `commit`
-//! (tail inserts in combined topological order), which rebuilds the
-//! full incremental state — reach vectors, lazy labels, extrema — so
-//! ECO refinement (`refine_splice`, `refine_graft`) continues to work
-//! on partition-parallel results exactly as on sequential ones.
+//! [`ParallelScheduler::materialize`] replays a stitched run into a
+//! live [`ThreadedScheduler`] through the engine's own `commit` (tail
+//! inserts in combined topological order). It rebuilds the whole-graph
+//! index, so it is a verification oracle, not a fast path: the
+//! rebuilt state passes `check_invariants`, reproduces the stitched
+//! diameter, and accepts ECO refinement (`refine_splice`,
+//! `refine_graft`) exactly as a sequential state does.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -69,12 +66,6 @@ pub struct ParallelConfig {
     pub meta: MetaSchedule,
     /// Partition balance tolerance (see [`PartitionConfig`]).
     pub tolerance: f64,
-    /// Graphs with at most this many ops are scheduled by the plain
-    /// sequential engine (identical results, no partition overhead).
-    /// Set to `0` to force the partition-parallel path everywhere —
-    /// the differential tests do, to exercise the stitch on small
-    /// graphs.
-    pub sequential_cutoff: usize,
 }
 
 impl Default for ParallelConfig {
@@ -84,7 +75,6 @@ impl Default for ParallelConfig {
             parts: 0,
             meta: MetaSchedule::Topological,
             tolerance: 0.10,
-            sequential_cutoff: 8192,
         }
     }
 }
@@ -99,7 +89,7 @@ pub struct ParallelRun {
     pub diameter: u64,
     /// Certified lower bound on any complete schedule of this graph,
     /// [`ResourceSet::lower_bound`]: `max` of the resource floor and
-    /// the behavior critical path, on both paths. Always `<= diameter`.
+    /// the behavior critical path. Always `<= diameter`.
     pub lower_bound: u64,
     /// Per-unit chains of the stitched state, in execution order.
     pub unit_threads: Vec<Vec<OpId>>,
@@ -107,10 +97,9 @@ pub struct ParallelRun {
     /// edges plus chain edges) — the replay order used by
     /// [`ParallelScheduler::materialize`].
     pub meta_order: Vec<OpId>,
-    /// Cut edges of the partition (0 when the sequential path ran).
+    /// Cut edges of the partition.
     pub cut_edges: usize,
-    /// Diameter of each block's local schedule (empty when the
-    /// sequential path ran).
+    /// Diameter of each block's local schedule.
     pub block_diameters: Vec<u64>,
 }
 
@@ -180,9 +169,6 @@ impl ParallelScheduler {
     /// surfaces as [`SchedError::Poisoned`] (the panic does not cross
     /// this boundary).
     pub fn run(&self) -> Result<ParallelRun, SchedError> {
-        if self.g.len() <= self.cfg.sequential_cutoff {
-            return self.run_sequential();
-        }
         let blocks = self.partition.blocks();
         let outs = {
             let _span = hls_obs::obs_span!(ParallelBlocks, "", blocks.len() as u64);
@@ -190,25 +176,6 @@ impl ParallelScheduler {
         };
         let _span = hls_obs::obs_span!(ParallelStitch, "", blocks.len() as u64);
         self.stitch(&blocks, &outs)
-    }
-
-    /// The small-graph path: the plain sequential engine, bit-identical
-    /// to `ThreadedScheduler` with the same meta order.
-    fn run_sequential(&self) -> Result<ParallelRun, SchedError> {
-        let order = self.cfg.meta.order(&self.g, &self.resources)?;
-        let mut ts = ThreadedScheduler::new(self.g.clone(), self.resources.clone())?;
-        ts.schedule_all(order.iter().copied())?;
-        let schedule = ts.extract_hard();
-        let unit_threads = (0..self.resources.k()).map(|k| ts.chain(k)).collect();
-        Ok(ParallelRun {
-            diameter: ts.diameter(),
-            lower_bound: ts.schedule_lower_bound(),
-            schedule,
-            unit_threads,
-            meta_order: order,
-            cut_edges: 0,
-            block_diameters: Vec::new(),
-        })
     }
 
     /// Schedules every block on `cfg.workers` scoped threads and
@@ -435,14 +402,14 @@ impl ParallelScheduler {
     /// Materialises a stitched run back into a live
     /// [`ThreadedScheduler`]: replays the stitched placement through
     /// the engine's own `commit` (tail inserts, combined topological
-    /// order), rebuilding the full incremental state so ECO refinement
-    /// continues to work. The materialised state's diameter equals
-    /// `run.diameter` (same threaded graph, same longest path).
+    /// order). The materialised state's diameter equals `run.diameter`
+    /// (same threaded graph, same longest path).
     ///
-    /// This rebuilds the whole-graph reachability index, so it costs
-    /// what `ThreadedScheduler::new` costs — intended for moderate
-    /// sizes and for the invariant/differential test layer, not for
-    /// the million-op fast path.
+    /// This is the stitch's verification oracle: it rebuilds the
+    /// whole-graph reachability index — the cost the partition path
+    /// exists to avoid — so that `check_invariants` can cross-validate
+    /// the stitched threading and ECO refinement can be exercised on
+    /// it. It is not a production path.
     ///
     /// # Errors
     ///

@@ -49,8 +49,8 @@
 
 use crate::{SchedError, soft::StateSnapshot};
 use hls_ir::{
-    ChainExtrema, HardSchedule, OpId, OpKind, PrecedenceGraph, ReachIndex, ResourceClass,
-    ResourceSet,
+    ChainExtrema, HardSchedule, OpId, OpKind, Operand, PrecedenceGraph, ReachIndex,
+    ResourceClass, ResourceSet,
 };
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -972,7 +972,8 @@ impl ThreadedScheduler {
     /// → id in this state), by
     /// [`refine_add_op`](Self::refine_add_op)-ing each new operation in
     /// id order, with its edges attached as both endpoints become
-    /// available. Only the added cone is scheduled. This is the one
+    /// available, then copying each new operation's operands through
+    /// the same map. Only the added cone is scheduled. This is the one
     /// engineering-change entry point: a state whose ids still match
     /// the submitted base takes the identity map, and a state whose
     /// behavior has *diverged in ids* from it — e.g. a finished flow
@@ -994,12 +995,12 @@ impl ThreadedScheduler {
     /// # Errors
     ///
     /// [`SchedError::NotAnExtension`] if `target` carries loop edges,
-    /// is shorter than `map`, or a delta op's edge points at an op the
-    /// map does not cover; [`SchedError::Malformed`] if `map` carries
-    /// duplicate entries (two submitted indices aliasing one scheduled
-    /// op — translating through such a map would silently merge their
-    /// edge sets, last-write-wins); [`SchedError::Timeout`] on budget
-    /// expiry; otherwise the errors of
+    /// is shorter than `map`, or a delta op's edge or operand points
+    /// at an op the map does not cover; [`SchedError::Malformed`] if
+    /// `map` carries duplicate entries (two submitted indices aliasing
+    /// one scheduled op — translating through such a map would silently
+    /// merge their edge sets, last-write-wins); [`SchedError::Timeout`]
+    /// on budget expiry; otherwise the errors of
     /// [`refine_add_op`](Self::refine_add_op). On every error the
     /// state and `map` are unchanged unless ops were already added
     /// (partial grafts extend `map` alongside the state).
@@ -1058,6 +1059,23 @@ impl ThreadedScheduler {
                 self.refine_add_op(target.kind(v), target.delay(v), target.label(v), &preds, &succs)?;
             map.push(id);
             added.push(id);
+        }
+        // Operands go on once the whole delta has ids, so a delta op
+        // may read a later one. Inputs and constants carry over as
+        // they are.
+        for (i, &id) in (base_len..target.len()).zip(&added) {
+            let operands = target
+                .operands(OpId::from_index(i))
+                .iter()
+                .map(|o| match o {
+                    Operand::Op(e) => map
+                        .get(e.index())
+                        .map(|&m| Operand::Op(m))
+                        .ok_or(SchedError::NotAnExtension),
+                    other => Ok(other.clone()),
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Arc::make_mut(&mut self.core).g.set_operands(id, operands);
         }
         Ok(added)
     }

@@ -1,27 +1,19 @@
-//! The golden-equivalence and determinism test layer for
-//! partition-parallel scheduling (ISSUE 8, tentpole + satellite 2).
+//! The determinism and stitch-validity test layer for
+//! partition-parallel scheduling. `ParallelScheduler` partitions every
+//! graph, so each contract holds from the empty graph up.
 //!
-//! Three contracts are pinned:
-//!
-//! 1. **Golden equivalence.** On every graph at or below the
-//!    sequential cutoff (all paper kernels and stress DAGs up to 5k
-//!    ops), `ParallelScheduler` is *bit-identical* to the sequential
-//!    `ThreadedScheduler` under the same meta order — same diameter,
-//!    same hard schedule, valid by `hls_ir::schedule::validate`.
-//! 2. **Determinism.** With the partition path forced
-//!    (`sequential_cutoff: 0`), results are a pure function of
+//! 1. **Determinism.** Results are a pure function of
 //!    (graph, resources, config): bit-identical across 1, 2 and 8
 //!    worker threads, and across repeated runs. Across partition
-//!    counts the default configuration is bit-identical (the cutoff
-//!    path does not depend on the partition), and forced-partition
-//!    diameters stay within the pinned quality band of each other.
-//! 3. **Stitch validity.** The forced partition path always produces a
-//!    valid schedule; its certified lower bound is the sequential
-//!    engine's `schedule_lower_bound` (as on the sequential path), and
-//!    its diameter stays within the pinned band of the sequential
-//!    diameter; materialising the stitched state back into a live
-//!    `ThreadedScheduler` passes the full `check_invariants`
-//!    cross-validation and reproduces the stitched diameter exactly.
+//!    counts the diameters stay within the pinned quality band of the
+//!    sequential engine.
+//! 2. **Stitch validity.** The stitched schedule is always valid; its
+//!    certified lower bound is the sequential engine's
+//!    `schedule_lower_bound`, and its diameter stays within the pinned
+//!    band of the sequential diameter; materialising the stitched
+//!    state back into a live `ThreadedScheduler` passes the full
+//!    `check_invariants` cross-validation and reproduces the stitched
+//!    diameter exactly.
 
 use hls_ir::{bench_graphs, generate, schedule, OpKind, PrecedenceGraph, ResourceSet};
 use threaded_sched::{
@@ -98,99 +90,9 @@ fn quality_bound(seq: u64, parts: usize) -> u64 {
     seq + (seq / 20).max(2 * parts as u64 + 2)
 }
 
-#[test]
-fn golden_equivalence_below_cutoff() {
-    let resources = ResourceSet::classic(2, 2);
-    for (name, g) in golden_suite() {
-        assert!(g.len() <= 5000, "{name}: suite graphs stay at or below 5k ops");
-        let order = MetaSchedule::Topological.order(&g, &resources).unwrap();
-        let mut ts = ThreadedScheduler::new(g.clone(), resources.clone()).unwrap();
-        ts.schedule_all(order).unwrap();
-        let seq_hard = ts.extract_hard();
-
-        let ps =
-            ParallelScheduler::new(g.clone(), resources.clone(), ParallelConfig::default())
-                .unwrap();
-        let run = ps.run().unwrap();
-        assert_eq!(run.diameter, ts.diameter(), "{name}: diameter diverged");
-        assert_eq!(run.lower_bound, ts.schedule_lower_bound(), "{name}: lower bound");
-        schedule::validate(&g, &resources, &run.schedule)
-            .unwrap_or_else(|e| panic!("{name}: invalid parallel schedule: {e}"));
-        for v in g.op_ids() {
-            assert_eq!(run.schedule.start(v), seq_hard.start(v), "{name}: start of {v}");
-            assert_eq!(run.schedule.unit(v), seq_hard.unit(v), "{name}: unit of {v}");
-        }
-    }
-}
-
-/// The `sequential_cutoff` boundary, pinned at the default cutoff
-/// itself (ISSUE 9, satellite: the dispatch at *exactly* the cutoff).
-/// 8191 and 8192 ops take the sequential path inside the parallel
-/// engine — bit-identical to a plain `ThreadedScheduler` under the
-/// same meta order, `== cutoff` included (the contract is `len >
-/// cutoff` engages partitioning, so the boundary value itself is
-/// sequential). 8193 ops must actually partition, produce a valid
-/// schedule, and stay deterministic across repeated runs.
-#[test]
-fn sequential_cutoff_boundary_8191_8192_8193() {
-    let resources = ResourceSet::classic(2, 2);
-    let cutoff = ParallelConfig::default().sequential_cutoff;
-    assert_eq!(cutoff, 8192, "the default cutoff this test pins moved — update the sizes");
-
-    for ops in [cutoff - 1, cutoff] {
-        let g = generate::layered_dag(0xC0FF ^ ops as u64, &generate::LayeredConfig {
-            ops,
-            width: 24,
-            ..generate::LayeredConfig::default()
-        });
-        let order = MetaSchedule::Topological.order(&g, &resources).unwrap();
-        let mut ts = ThreadedScheduler::new(g.clone(), resources.clone()).unwrap();
-        ts.schedule_all(order).unwrap();
-        let seq_hard = ts.extract_hard();
-
-        let ps = ParallelScheduler::new(g.clone(), resources.clone(), ParallelConfig::default())
-            .unwrap();
-        let run = ps.run().unwrap();
-        assert!(
-            run.block_diameters.is_empty() && run.cut_edges == 0,
-            "{ops} ops: at or below the cutoff the partition path must not engage"
-        );
-        assert_eq!(run.diameter, ts.diameter(), "{ops} ops: diameter diverged");
-        for v in g.op_ids() {
-            assert_eq!(run.schedule.start(v), seq_hard.start(v), "{ops} ops: start of {v}");
-            assert_eq!(run.schedule.unit(v), seq_hard.unit(v), "{ops} ops: unit of {v}");
-        }
-    }
-
-    // One past the cutoff: the partition path engages for real.
-    let ops = cutoff + 1;
-    let g = generate::layered_dag(0xC0FF ^ ops as u64, &generate::LayeredConfig {
-        ops,
-        width: 24,
-        ..generate::LayeredConfig::default()
-    });
-    let cfg = ParallelConfig { workers: workers(), ..ParallelConfig::default() };
-    let ps = ParallelScheduler::new(g.clone(), resources.clone(), cfg.clone()).unwrap();
-    let run = ps.run().unwrap();
-    assert!(
-        !run.block_diameters.is_empty(),
-        "{ops} ops: one past the cutoff must partition"
-    );
-    schedule::validate(&g, &resources, &run.schedule).unwrap();
-    let again = ParallelScheduler::new(g.clone(), resources.clone(), cfg)
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(run.diameter, again.diameter, "{ops} ops: repeated runs agree");
-    for v in g.op_ids() {
-        assert_eq!(run.schedule.start(v), again.schedule.start(v));
-        assert_eq!(run.schedule.unit(v), again.schedule.unit(v));
-    }
-}
-
-/// At or below the cutoff the reported bound is the certified static
-/// bound, not the finished schedule's own diameter: HAL under
-/// `classic(2,2)` schedules to 8 states, but only 6 are certified.
+/// The reported bound is the certified static bound, not the finished
+/// schedule's own diameter: HAL under `classic(2,2)` schedules to more
+/// than 6 states, but only 6 are certified.
 #[test]
 fn sequential_path_reports_the_certified_bound_not_the_diameter() {
     let resources = ResourceSet::classic(2, 2);
@@ -199,32 +101,9 @@ fn sequential_path_reports_the_certified_bound_not_the_diameter() {
         .unwrap()
         .run()
         .unwrap();
-    assert!(run.block_diameters.is_empty(), "HAL takes the sequential path");
-    assert_eq!(run.diameter, 8);
+    assert!(run.diameter > 6, "diameter {}", run.diameter);
     assert_eq!(run.lower_bound, 6);
     assert_eq!(run.lower_bound, certified_bound(&g, &resources));
-}
-
-#[test]
-fn default_config_is_partition_count_invariant_below_cutoff() {
-    let resources = ResourceSet::classic(2, 2);
-    let g = generate::stress_dag(7, 1500);
-    let baseline = ParallelScheduler::new(g.clone(), resources.clone(), ParallelConfig::default())
-        .unwrap()
-        .run()
-        .unwrap();
-    for parts in [2usize, 4, 8, 16] {
-        let cfg = ParallelConfig { parts, ..ParallelConfig::default() };
-        let run = ParallelScheduler::new(g.clone(), resources.clone(), cfg)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(run.diameter, baseline.diameter);
-        for v in g.op_ids() {
-            assert_eq!(run.schedule.start(v), baseline.schedule.start(v));
-            assert_eq!(run.schedule.unit(v), baseline.schedule.unit(v));
-        }
-    }
 }
 
 #[test]
@@ -236,7 +115,6 @@ fn forced_stitch_is_valid_bounded_and_materializable() {
             let cfg = ParallelConfig {
                 parts,
                 workers: workers(),
-                sequential_cutoff: 0,
                 ..ParallelConfig::default()
             };
             let ps = ParallelScheduler::new(g.clone(), resources.clone(), cfg).unwrap();
@@ -284,7 +162,6 @@ fn forced_stitch_is_bit_identical_across_worker_counts() {
                 let cfg = ParallelConfig {
                     workers,
                     parts: 8,
-                    sequential_cutoff: 0,
                     ..ParallelConfig::default()
                 };
                 ParallelScheduler::new(g.clone(), resources.clone(), cfg)
@@ -314,7 +191,6 @@ fn forced_stitch_diameters_stable_across_partition_counts() {
         let cfg = ParallelConfig {
             parts,
             workers: workers(),
-            sequential_cutoff: 0,
             ..ParallelConfig::default()
         };
         let run = ParallelScheduler::new(g.clone(), resources.clone(), cfg)
@@ -335,32 +211,53 @@ fn stitched_schedule_invariant_fuzzing() {
     // Randomised sizes, partition counts, worker counts and resource
     // allocations; every stitched schedule must be valid, every
     // materialised state must pass the dense-closure invariant check.
-    for case in 0..24u64 {
-        let ops = 150 + (case as usize * 191) % 1800;
-        let g = generate::stress_dag(0x9_0000 + case, ops);
-        let resources = match case % 3 {
-            0 => ResourceSet::classic(1, 1),
-            1 => ResourceSet::classic(2, 2),
-            _ => ResourceSet::classic(3, 2),
-        };
-        let cfg = ParallelConfig {
-            workers: 1 + (case as usize % 4),
-            parts: [2, 3, 8, 13][case as usize % 4],
-            sequential_cutoff: 0,
-            ..ParallelConfig::default()
-        };
+    let mut cases: Vec<(String, PrecedenceGraph, ResourceSet, ParallelConfig)> = (0..24u64)
+        .map(|case| {
+            let ops = 150 + (case as usize * 191) % 1800;
+            let g = generate::stress_dag(0x9_0000 + case, ops);
+            let resources = match case % 3 {
+                0 => ResourceSet::classic(1, 1),
+                1 => ResourceSet::classic(2, 2),
+                _ => ResourceSet::classic(3, 2),
+            };
+            let cfg = ParallelConfig {
+                workers: 1 + (case as usize % 4),
+                parts: [2, 3, 8, 13][case as usize % 4],
+                ..ParallelConfig::default()
+            };
+            (format!("case {case}"), g, resources, cfg)
+        })
+        .collect();
+    // The smallest inputs: the default config partitions them too.
+    let mut single = PrecedenceGraph::new();
+    single.add_op(OpKind::Add, 1, "a");
+    let mut wire = PrecedenceGraph::new();
+    wire.add_op(OpKind::WireDelay, 1, "w");
+    let hal = bench_graphs::hal();
+    let hal_blocks = ParallelConfig { parts: hal.len(), ..ParallelConfig::default() };
+    for (name, g, cfg) in [
+        ("empty", PrecedenceGraph::new(), ParallelConfig::default()),
+        ("single op", single, ParallelConfig::default()),
+        ("single wire delay", wire, ParallelConfig::default()),
+        ("HAL, one block per op", hal, hal_blocks),
+    ] {
+        cases.push((name.to_string(), g, ResourceSet::classic(2, 2), cfg));
+    }
+
+    for (name, g, resources, cfg) in cases {
         let ps = ParallelScheduler::new(g.clone(), resources.clone(), cfg).unwrap();
         let run = ps.run().unwrap();
         schedule::validate(&g, &resources, &run.schedule)
-            .unwrap_or_else(|e| panic!("case {case}: invalid schedule: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: invalid schedule: {e}"));
+        assert_eq!(run.lower_bound, resources.lower_bound(&g), "{name}: stitched lower bound");
         assert_eq!(
             run.lower_bound,
             certified_bound(&g, &resources),
-            "case {case}: stitched lower bound"
+            "{name}: sequential lower bound"
         );
         let ts = ps.materialize(&run).unwrap();
-        ts.check_invariants().unwrap_or_else(|e| panic!("case {case}: invariants: {e}"));
-        assert_eq!(ts.diameter(), run.diameter, "case {case}: materialized diameter");
+        ts.check_invariants().unwrap_or_else(|e| panic!("{name}: invariants: {e}"));
+        assert_eq!(ts.diameter(), run.diameter, "{name}: materialized diameter");
     }
 }
 
@@ -371,7 +268,7 @@ fn materialized_stitch_supports_eco_refinement() {
     // partition seams) are absorbed by the ordinary ECO path.
     let resources = ResourceSet::classic(2, 2);
     let g = generate::stress_dag(31, 1200);
-    let cfg = ParallelConfig { parts: 8, sequential_cutoff: 0, ..ParallelConfig::default() };
+    let cfg = ParallelConfig { parts: 8, ..ParallelConfig::default() };
     let ps = ParallelScheduler::new(g.clone(), resources.clone(), cfg).unwrap();
     let run = ps.run().unwrap();
     let cut = ps.partition().cut_edges(&g);

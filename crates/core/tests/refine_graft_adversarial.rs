@@ -5,11 +5,11 @@
 //! `refine_graft` trusts the caller's submitted-index map — `map[i]` is
 //! the scheduler op standing for target index `i`. These tests pin the
 //! contract at its edges: a resubmission that renumbers the whole base
-//! graph (shuffled map), an empty delta, a delta op landing on every
-//! partition boundary of a *parallel-materialized* state, malformed
-//! maps, and budget expiry mid-graft.
+//! graph (shuffled map, operands included), an empty delta, a delta op
+//! landing on every partition boundary of a *parallel-materialized*
+//! state, malformed maps and operands, and budget expiry mid-graft.
 
-use hls_ir::{generate, schedule, Budget, OpId, OpKind, PrecedenceGraph, ResourceSet};
+use hls_ir::{generate, schedule, Budget, OpId, OpKind, Operand, PrecedenceGraph, ResourceSet};
 use threaded_sched::{
     meta::MetaSchedule, parallel::ParallelConfig, ParallelScheduler, SchedError,
     ThreadedScheduler,
@@ -105,9 +105,12 @@ fn shuffled_submitted_index_map_matches_identity() {
         let ds = shuffled.add_op(OpKind::Add, 1, format!("d{i}"));
         shuffled.add_edge(OpId::from_index(pos[a]), ds).unwrap();
         shuffled.add_edge(ds, OpId::from_index(pos[b])).unwrap();
+        let reads = |p| vec![Operand::Op(OpId::from_index(p)), Operand::Const(i as i64)];
+        shuffled.set_operands(ds, reads(pos[a]));
         let di = identity.add_op(OpKind::Add, 1, format!("d{i}"));
         identity.add_edge(OpId::from_index(a), di).unwrap();
         identity.add_edge(di, OpId::from_index(b)).unwrap();
+        identity.set_operands(di, reads(a));
     }
 
     let mut ts_shuf = scheduled(&g, &resources);
@@ -132,6 +135,11 @@ fn shuffled_submitted_index_map_matches_identity() {
             "delta op {i} kept its scheduler-side predecessor"
         );
         assert!(ts_shuf.graph().succs(d).contains(&OpId::from_index(b)));
+        assert_eq!(
+            ts_shuf.graph().operands(d),
+            [Operand::Op(OpId::from_index(a)), Operand::Const(i as i64)],
+            "delta op {i}'s operands translate through the map"
+        );
     }
     ts_shuf.check_invariants().unwrap();
     let hard = ts_shuf.extract_hard();
@@ -149,7 +157,7 @@ fn shuffled_submitted_index_map_matches_identity() {
 fn delta_on_every_partition_boundary() {
     let resources = ResourceSet::classic(2, 2);
     let g = generate::stress_dag(43, 1200);
-    let cfg = ParallelConfig { parts: 8, sequential_cutoff: 0, ..ParallelConfig::default() };
+    let cfg = ParallelConfig { parts: 8, ..ParallelConfig::default() };
     let ps = ParallelScheduler::new(g.clone(), resources.clone(), cfg).unwrap();
     let run = ps.run().unwrap();
     let part = ps.partition();
@@ -205,6 +213,18 @@ fn malformed_resubmissions_are_rejected() {
         Err(SchedError::NotAnExtension)
     ));
     assert_eq!(map.len(), g.len(), "a rejected graft leaves the map alone");
+    ts.check_invariants().unwrap();
+
+    // A delta operand naming an op the resubmission does not have.
+    let mut dangling = g.clone();
+    let d = dangling.add_op(OpKind::Add, 1, "dangling");
+    dangling.add_edge(OpId::from_index(0), d).unwrap();
+    dangling.set_operands(d, vec![Operand::Op(OpId::from_index(g.len() + 9))]);
+    let mut map = identity_map(g.len());
+    assert!(matches!(
+        ts.refine_graft(&dangling, &mut map, &Budget::NONE),
+        Err(SchedError::NotAnExtension)
+    ));
     ts.check_invariants().unwrap();
 }
 

@@ -9,10 +9,10 @@
 //! 1. [`DegradeRung::Portfolio`] — the configured [`Engine::Portfolio`]
 //!    (or the default one), under half the budget;
 //! 2. [`DegradeRung::SingleMeta`] — the configured engine if it is
-//!    [`Engine::Meta`] or [`Engine::Parallel`], otherwise
-//!    `Engine::Meta(ListBased)`, under three quarters of the budget;
-//! 3. [`DegradeRung::ListSchedule`] — rung 2's engine with its meta
-//!    order set to list scheduling, under the full budget;
+//!    [`Engine::Meta`], otherwise `Engine::Meta(ListBased)`, under
+//!    three quarters of the budget;
+//! 3. [`DegradeRung::ListSchedule`] — `Engine::Meta(ListBased)`, under
+//!    the full budget;
 //! 4. [`DegradeRung::BoundOnly`] — no schedule at all: the certified
 //!    lower bound
 //!    ([`ResourceSet::lower_bound`](hls_ir::ResourceSet::lower_bound)),
@@ -34,14 +34,14 @@
 
 use crate::flow::{Engine, FlowConfig, FlowError, FlowOutcome};
 use hls_ir::{Budget, PrecedenceGraph};
-use threaded_sched::{meta::MetaSchedule, ParallelConfig, SchedError};
+use threaded_sched::{meta::MetaSchedule, SchedError};
 
 /// One rung of the degradation ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DegradeRung {
     /// Parallel portfolio + feedback refinement (the full engine).
     Portfolio,
-    /// The configured single-order engine (meta or parallel).
+    /// The configured single-meta engine.
     SingleMeta,
     /// Plain list scheduling.
     ListSchedule,
@@ -196,23 +196,17 @@ pub fn run_flow_degraded(
 /// the [module docs](self)).
 fn schedule_rungs(config: &FlowConfig) -> [(DegradeRung, Engine, Budget); 3] {
     let (portfolio, single) = match &config.engine {
-        Engine::Portfolio(p) => (p.clone(), Engine::Meta(MetaSchedule::ListBased)),
-        engine => (hls_search::PortfolioConfig::default(), engine.clone()),
+        Engine::Portfolio(p) => (p.clone(), MetaSchedule::ListBased),
+        Engine::Meta(meta) => (hls_search::PortfolioConfig::default(), *meta),
     };
-    let list = match &single {
-        Engine::Parallel(p) => Engine::Parallel(ParallelConfig {
-            meta: MetaSchedule::ListBased,
-            ..p.clone()
-        }),
-        _ => Engine::Meta(MetaSchedule::ListBased),
-    };
+    let list = Engine::Meta(MetaSchedule::ListBased);
     [
         (
             DegradeRung::Portfolio,
             Engine::Portfolio(portfolio),
             config.budget.slice(1, 2),
         ),
-        (DegradeRung::SingleMeta, single, config.budget.slice(3, 4)),
+        (DegradeRung::SingleMeta, Engine::Meta(single), config.budget.slice(3, 4)),
         (DegradeRung::ListSchedule, list, config.budget),
     ]
 }
@@ -295,15 +289,14 @@ mod tests {
 
     /// The rung → engine mapping for each configured engine: rung 1
     /// is the configured (or default) portfolio, rung 2 the configured
-    /// single-order engine (list-based meta under a portfolio), rung 3
-    /// rung 2 with list-based meta; budget slices ½, ¾, 1.
+    /// meta (list-based under a portfolio), rung 3 list-based meta;
+    /// budget slices ½, ¾, 1.
     #[test]
     fn rungs_map_each_configured_engine() {
         fn shape(e: &Engine) -> (&'static str, Option<MetaSchedule>, usize) {
             match e {
                 Engine::Meta(m) => ("meta", Some(*m), 0),
                 Engine::Portfolio(p) => ("portfolio", None, p.threads),
-                Engine::Parallel(p) => ("parallel", Some(p.meta), p.parts),
             }
         }
         let budget = Budget::steps(400);
@@ -314,11 +307,6 @@ mod tests {
         };
         let port = hls_search::PortfolioConfig {
             threads: 3,
-            ..Default::default()
-        };
-        let par = ParallelConfig {
-            parts: 5,
-            meta: MetaSchedule::Dfs,
             ..Default::default()
         };
         let default_threads = hls_search::PortfolioConfig::default().threads;
@@ -337,14 +325,6 @@ mod tests {
                     ("portfolio", None, 3),
                     ("meta", Some(MetaSchedule::ListBased), 0),
                     ("meta", Some(MetaSchedule::ListBased), 0),
-                ],
-            ),
-            (
-                with(Engine::Parallel(par)),
-                [
-                    ("portfolio", None, default_threads),
-                    ("parallel", Some(MetaSchedule::Dfs), 5),
-                    ("parallel", Some(MetaSchedule::ListBased), 5),
                 ],
             ),
         ];

@@ -22,16 +22,6 @@ pub enum Engine {
     /// ([`hls_search::run_portfolio`]), deterministic whatever its
     /// thread count, under [`FlowConfig::budget`].
     Portfolio(hls_search::PortfolioConfig),
-    /// The partition-parallel engine
-    /// ([`threaded_sched::ParallelScheduler`]) with the config's own
-    /// `meta` in every block, materialised back into a live scheduler.
-    /// Behaviors of at most `sequential_cutoff` ops, and pipelined
-    /// kernels, run as `Engine::Meta` of that `meta` instead.
-    ///
-    /// [`FlowConfig::budget`] does **not** reach the partitioned run:
-    /// neither the blocks nor the stitch stop on expiry. Budgeting it
-    /// needs new engine code and is not implemented.
-    Parallel(threaded_sched::ParallelConfig),
 }
 
 /// Configuration of the end-to-end flow.
@@ -67,10 +57,9 @@ pub struct FlowConfig {
     pub place: PlaceConfig,
     /// Delay model (for φ-resolution move delay).
     pub delays: DelayModel,
-    /// Budget of the modulo portfolio and the engine (but see
-    /// [`Engine::Parallel`]); its wall deadline also bounds the spills
-    /// and wire-delay splices after scheduling. An expired budget
-    /// surfaces as [`FlowError::Timeout`];
+    /// Budget of the modulo portfolio and the engine; its wall
+    /// deadline also bounds the spills and wire-delay splices after
+    /// scheduling. An expired budget surfaces as [`FlowError::Timeout`];
     /// [`crate::run_flow_degraded`] instead walks the degradation
     /// ladder. The default is unlimited.
     pub budget: hls_ir::Budget,
@@ -100,9 +89,7 @@ impl std::ops::Deref for FlowConfig {
 
     fn deref(&self) -> &SequentialMeta {
         let meta = match &self.engine {
-            Engine::Meta(meta) | Engine::Parallel(threaded_sched::ParallelConfig { meta, .. }) => {
-                meta
-            }
+            Engine::Meta(meta) => meta,
             Engine::Portfolio(_) => &MetaSchedule::ListBased,
         };
         // SAFETY: `SequentialMeta` is `repr(transparent)` over
@@ -379,12 +366,7 @@ fn eco_flow_inner(
     let mut ts = base.scheduler;
     let initial_states = ts.diameter();
     let before_len = ts.graph().len();
-    let added = ts
-        .refine_graft(target, &mut base.map, budget)
-        .map_err(|e| match e {
-            SchedError::Timeout => FlowError::Timeout,
-            other => FlowError::Sched(other),
-        })?;
+    let added = ts.refine_graft(target, &mut base.map, budget)?;
 
     // Wire delays for the delta only: edges between pre-existing ops
     // already carry theirs (as absorbed delay vertices), so only
@@ -460,16 +442,7 @@ pub(crate) fn run_engine(
         Engine::Portfolio(pcfg) => {
             hls_search::run_portfolio(&graph, &config.resources, pcfg, budget)?.winner
         }
-        Engine::Parallel(par) if pipeline.is_none() && graph.len() > par.sequential_cutoff => {
-            let ps = threaded_sched::ParallelScheduler::new(
-                graph,
-                config.resources.clone(),
-                par.clone(),
-            )?;
-            let run = ps.run()?;
-            ps.materialize(&run)?
-        }
-        Engine::Meta(meta) | Engine::Parallel(threaded_sched::ParallelConfig { meta, .. }) => {
+        Engine::Meta(meta) => {
             let order = meta.order(&graph, &config.resources)?;
             let mut ts = ThreadedScheduler::new(graph, config.resources.clone())?;
             match ts.schedule_all_budgeted(order, budget, |_| false)? {
@@ -675,92 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_seat_is_identical_below_cutoff_and_valid_when_forced() {
-        // Below the cutoff the parallel engine runs its own meta order
-        // sequentially: the flow is bit-identical to that meta engine.
-        let par = threaded_sched::ParallelConfig::default();
-        let seq_cfg = FlowConfig {
-            engine: Engine::Meta(par.meta),
-            ..FlowConfig::default()
-        };
-        let seq = run_flow(bench_graphs::ewf(), &seq_cfg).unwrap();
-        let cfg = FlowConfig {
-            engine: Engine::Parallel(par),
-            ..FlowConfig::default()
-        };
-        let out = run_flow(bench_graphs::ewf(), &cfg).unwrap();
-        assert_eq!(out.report, seq.report);
-
-        // Forcing the partition path still yields a flow-worthy state:
-        // every downstream phase ran and the outcome validates.
-        let forced = FlowConfig {
-            engine: Engine::Parallel(threaded_sched::ParallelConfig {
-                parts: 4,
-                sequential_cutoff: 0,
-                ..threaded_sched::ParallelConfig::default()
-            }),
-            ..FlowConfig::default()
-        };
-        let out = run_flow(bench_graphs::ewf(), &forced).unwrap();
-        out.scheduler.check_invariants().unwrap();
-        sched_check::validate(out.scheduler.graph(), &forced.resources, &out.schedule).unwrap();
-        assert!(out.report.final_states >= out.report.initial_states);
-    }
-
-    /// The parallel engine's dispatch at *exactly* `sequential_cutoff`:
-    /// the partitioned run engages only for `len > cutoff`, so
-    /// behaviors of `cutoff - 1` and exactly `cutoff` ops must be
-    /// bit-identical to `Engine::Meta` of the parallel config's meta —
-    /// full report and hard schedule — while `cutoff + 1` partitions
-    /// and still validates. (The 8191/8192/8193 sizes against the
-    /// default 8192 cutoff are pinned engine-level in
-    /// `threaded-sched`'s `parallel_golden` suite; the flow-level
-    /// dispatch is cutoff-relative, tested here at a CI-sized cutoff.)
-    #[test]
-    fn parallel_seat_dispatch_at_exact_cutoff() {
-        let cutoff = 60usize;
-        let par = threaded_sched::ParallelConfig {
-            sequential_cutoff: cutoff,
-            ..threaded_sched::ParallelConfig::default()
-        };
-        let seq_cfg = FlowConfig {
-            engine: Engine::Meta(par.meta),
-            ..FlowConfig::default()
-        };
-        let cfg = FlowConfig {
-            engine: Engine::Parallel(par),
-            ..FlowConfig::default()
-        };
-        for ops in [cutoff - 1, cutoff, cutoff + 1] {
-            let g = hls_ir::generate::layered_dag(
-                0x8192 ^ ops as u64,
-                &hls_ir::generate::LayeredConfig { ops, ..Default::default() },
-            );
-            let seq = run_flow(g.clone(), &seq_cfg).unwrap();
-            let par = run_flow(g, &cfg).unwrap();
-            par.scheduler.check_invariants().unwrap();
-            sched_check::validate(par.scheduler.graph(), &cfg.resources, &par.schedule)
-                .unwrap();
-            if ops <= cutoff {
-                assert_eq!(par.report, seq.report, "{ops} ops: report diverged at the cutoff");
-                for v in par.scheduler.graph().op_ids() {
-                    assert_eq!(
-                        par.schedule.start(v),
-                        seq.schedule.start(v),
-                        "{ops} ops: start of {v}"
-                    );
-                    assert_eq!(par.schedule.unit(v), seq.schedule.unit(v), "{ops} ops: unit of {v}");
-                }
-            } else {
-                assert!(
-                    par.report.final_states >= par.report.initial_states,
-                    "{ops} ops: partitioned flow must still complete"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn config_meta_reads_the_engines_sequential_order() {
         let with = |engine| FlowConfig {
             engine,
@@ -771,10 +658,30 @@ mod tests {
             with(Engine::Meta(MetaSchedule::Random(7))).meta,
             MetaSchedule::Random(7)
         );
-        let par = threaded_sched::ParallelConfig::default();
-        assert_eq!(with(Engine::Parallel(par.clone())).meta, par.meta);
         let port = hls_search::PortfolioConfig::default();
         assert_eq!(with(Engine::Portfolio(port)).meta, MetaSchedule::ListBased);
+    }
+
+    /// A graft that panics is typed like a panic in any other flow
+    /// phase: `FlowError::Poisoned`, not a `Sched` wrapper around the
+    /// scheduler's own poisoned error.
+    #[test]
+    fn eco_graft_panic_surfaces_as_poisoned() {
+        use hls_ir::faultinject::{arm, FaultPlan, RunScope};
+        let g = bench_graphs::hal();
+        let cfg = FlowConfig::default();
+        let out = run_flow(g.clone(), &cfg).unwrap();
+        let mut target = g.clone();
+        let d = target.add_op(OpKind::Add, 1, "delta");
+        target
+            .add_edge(hls_ir::OpId::from_index(g.len() - 1), d)
+            .unwrap();
+
+        let _armed = arm(FaultPlan::panic_at(1).in_run("eco"));
+        let _scope = RunScope::enter("eco");
+        let base = EcoBase::of_outcome(g.len(), &out);
+        let err = eco_flow(base, &target, &cfg, &hls_ir::Budget::NONE).unwrap_err();
+        assert!(matches!(err, FlowError::Poisoned(_)), "{err:?}");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!   exact compatible-unit set, `⌈Σ delay / #units⌉` per group.
 //! * `res_mii` is that floor folded with the largest resource-op
 //!   delay.
-//! * `ParallelRun::lower_bound` is `schedule_lower_bound()` on the
-//!   sequential path and on the forced partition path.
+//! * `ParallelRun::lower_bound` is `schedule_lower_bound()`.
 //! * The ladder's bound-only rung reports `schedule_lower_bound()` of
 //!   the graph (of the kernel DAG for loops).
 //!
@@ -112,15 +111,13 @@ proptest! {
             kind.resource_class() == ResourceClass::Wire || !r.compatible_units(kind).is_empty()
         });
         if schedulable {
-            for sequential_cutoff in [ParallelConfig::default().sequential_cutoff, 0] {
-                let cfg = ParallelConfig { workers: 2, sequential_cutoff, ..ParallelConfig::default() };
-                let run = ParallelScheduler::new(g.clone(), r.clone(), cfg)
-                    .unwrap()
-                    .run()
-                    .unwrap();
-                prop_assert_eq!(run.lower_bound, bound, "cutoff {}", sequential_cutoff);
-                prop_assert!(run.lower_bound <= run.diameter);
-            }
+            let cfg = ParallelConfig { workers: 2, ..ParallelConfig::default() };
+            let run = ParallelScheduler::new(g.clone(), r.clone(), cfg)
+                .unwrap()
+                .run()
+                .unwrap();
+            prop_assert_eq!(run.lower_bound, bound);
+            prop_assert!(run.lower_bound <= run.diameter);
         }
     }
 }

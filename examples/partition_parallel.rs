@@ -32,9 +32,9 @@ fn main() {
     let seq_ms = t0.elapsed().as_millis();
     println!("sequential: {} states in {seq_ms} ms", ts.diameter());
 
-    // The partition-parallel engine: forced past the cutoff so the
-    // partition path runs even for small demo workloads.
-    let cfg = ParallelConfig { workers, sequential_cutoff: 0, ..ParallelConfig::default() };
+    // The partition-parallel engine: every run partitions, so small
+    // demo workloads show the seam cost in full.
+    let cfg = ParallelConfig { workers, ..ParallelConfig::default() };
     let t0 = Instant::now();
     let ps = ParallelScheduler::new(g.clone(), resources.clone(), cfg).expect("valid graph");
     let run = ps.run().expect("schedulable");
@@ -54,9 +54,14 @@ fn main() {
         100.0 * (run.diameter as f64 - ts.diameter() as f64) / ts.diameter() as f64
     );
 
-    // A stitched run is a first-class engine state: materialise it and
-    // the full incremental machinery (invariants, ECO) is live again.
+    // Verify the stitch: materialise it into a live engine state and
+    // cross-check the threading against the engine's own invariants.
     let live = ps.materialize(&run).expect("stitched runs materialise");
     live.check_invariants().expect("materialised state is coherent");
-    println!("materialised back into a live scheduler: {} ops", live.scheduled_count());
+    assert_eq!(live.diameter(), run.diameter, "materialised diameter");
+    println!(
+        "stitch verified: materialised {} ops, invariants hold, diameter {}",
+        live.scheduled_count(),
+        live.diameter()
+    );
 }
