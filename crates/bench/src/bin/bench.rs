@@ -18,7 +18,7 @@ use hls_bench::artifact::{self, json_number, Json};
 use hls_bench::complexity::{fit_exponent, report_scaling, scaling_sweep, sweep_config};
 use hls_bench::mem::{self, CountingAlloc};
 use hls_bench::microbench::{bench_kernels, bench_probes, bench_select_commit, check_wall_100k};
-use hls_bench::portfolio::{fig3_portfolio, fig3_report, refinement_study};
+use hls_bench::portfolio::{fig3_portfolio, fig3_report};
 use hls_bench::portfolio::{sweep_report, thread_sweep};
 use hls_bench::{complexity, coupling, delay_sweep, fig1, fig3, meta_ablation, modulo, obj};
 use hls_bench::{parallel, serve_load};
@@ -239,31 +239,20 @@ fn scaling(cli: &Cli) -> Json {
     }
 }
 
-/// BENCH_3: Figure-3 portfolio quality, the refinement study and the
-/// 1/2/4/8-thread race sweep.
+/// BENCH_3: Figure-3 portfolio quality and the 1/2/4/8-thread race
+/// sweep.
 fn portfolio(quick: bool) -> Json {
     let cells = fig3_portfolio(2);
     print!("{}", fig3_report(&cells));
-    let optimal = cells.iter().filter(|c| c.refined == c.lower_bound).count();
+    let optimal = cells
+        .iter()
+        .filter(|c| c.portfolio == c.lower_bound)
+        .count();
     println!(
         "portfolio ≤ best single meta on {}/{} cells (guaranteed); provably optimal on {optimal}",
         cells.len(),
         cells.len()
     );
-
-    let refine_rows = refinement_study(if quick { 4 } else { 12 });
-    let improved: Vec<_> = refine_rows.iter().filter(|r| r.refined < r.base).collect();
-    println!(
-        "feedback refinement: improved {}/{} random-DAG cells (tight resources)",
-        improved.len(),
-        refine_rows.len()
-    );
-    for r in &improved {
-        println!(
-            "  seed {} density {} {}: {} -> {} (bound {}, {} rounds)",
-            r.seed, r.density, r.resources, r.base, r.refined, r.lower_bound, r.rounds
-        );
-    }
 
     let study = thread_sweep(if quick { 2000 } else { 5000 }, &[1, 2, 4, 8]);
     print!("{}", sweep_report(&study));
@@ -284,14 +273,7 @@ fn portfolio(quick: bool) -> Json {
         obj! {
             "benchmark": c.benchmark, "config": c.config, "best_single": c.best_single,
             "best_single_name": c.best_single_name, "portfolio": c.portfolio,
-            "refined": c.refined, "lower_bound": c.lower_bound, "winner": c.winner.as_str(),
-        }
-    });
-    let improved_rows = improved.iter().map(|r| {
-        obj! {
-            "seed": r.seed, "density": Json::Num(r.density.to_string()),
-            "resources": r.resources, "base": r.base, "refined": r.refined,
-            "lower_bound": r.lower_bound, "rounds": r.rounds,
+            "lower_bound": c.lower_bound, "winner": c.winner.as_str(),
         }
     });
     let singles = study.singles.iter().map(|&(name, us, diameter)| {
@@ -308,14 +290,8 @@ fn portfolio(quick: bool) -> Json {
     obj! {
         "pr": 3u32,
         "subject": "parallel portfolio (4 paper metas + 4 seeded perturbations, shared atomic \
-            incumbent, certified early abort) + feedback-guided critical-cone refinement",
+            incumbent, certified early abort)",
         "fig3": fig3_rows.collect::<Vec<_>>(),
-        "refinement": obj! {
-            "workload": "random_dag(|V|=120) under 1+/-,1* and 2+/-,1*",
-            "cells": refine_rows.len(),
-            "improved": improved.len(),
-            "improved_rows": improved_rows.collect::<Vec<_>>(),
-        },
         "sweep": obj! {
             "workload": "layered DFG, bounded mean in-degree ~6, ResourceSet::classic(2,2) \
                 (complexity::sweep_config)",

@@ -1,4 +1,4 @@
-//! BENCH_3: the parallel portfolio + feedback refinement study.
+//! BENCH_3: the parallel portfolio study.
 //!
 //! Two questions, mirroring the acceptance criteria of the portfolio
 //! work:
@@ -6,7 +6,7 @@
 //! 1. **Quality** ([`fig3_portfolio`]): on every Figure-3 benchmark ×
 //!    resource configuration, is the portfolio diameter ≤ the best
 //!    single paper meta schedule, and how often do the random
-//!    populations or the refinement loop beat all four?
+//!    populations beat all four?
 //! 2. **Cost** ([`thread_sweep`]): on the BENCH_2 layered-DFG sweep
 //!    workload, what does the 8-strategy portfolio cost in wall time
 //!    at 1/2/4/8 threads, against the wall time of the single winning
@@ -42,12 +42,10 @@ pub struct Fig3Cell {
     pub best_single: u64,
     /// Name of the meta schedule achieving `best_single`.
     pub best_single_name: &'static str,
-    /// Portfolio diameter before refinement.
+    /// Portfolio diameter.
     pub portfolio: u64,
-    /// Portfolio diameter after feedback refinement.
-    pub refined: u64,
     /// The certified schedule lower bound (graph diameter ∨ resource
-    /// floor); `refined == lower_bound` means provably optimal.
+    /// floor); `portfolio == lower_bound` means provably optimal.
     pub lower_bound: u64,
     /// The winning strategy's name.
     pub winner: String,
@@ -81,8 +79,7 @@ pub fn fig3_portfolio(threads: usize) -> Vec<Fig3Cell> {
                 config: label,
                 best_single,
                 best_single_name,
-                portfolio: out.initial_diameter,
-                refined: out.diameter,
+                portfolio: out.diameter,
                 lower_bound: out.lower_bound,
                 winner: out.winner_name,
             });
@@ -98,7 +95,6 @@ pub fn fig3_report(cells: &[Fig3Cell]) -> String {
         "config".to_string(),
         "best single".to_string(),
         "portfolio".to_string(),
-        "refined".to_string(),
         "bound".to_string(),
         "winner".to_string(),
     ];
@@ -110,7 +106,6 @@ pub fn fig3_report(cells: &[Fig3Cell]) -> String {
                 c.config.to_string(),
                 format!("{} ({})", c.best_single, c.best_single_name),
                 c.portfolio.to_string(),
-                c.refined.to_string(),
                 c.lower_bound.to_string(),
                 c.winner.clone(),
             ]
@@ -188,7 +183,7 @@ pub fn thread_sweep(ops: usize, thread_counts: &[usize]) -> SweepStudy {
         .iter()
         .map(|&threads| {
             let t0 = Instant::now();
-            let out = race(&g, &resources, &candidates, threads, None, &hls_ir::Budget::NONE)
+            let out = race(&g, &resources, &candidates, threads, &hls_ir::Budget::NONE)
                 .expect("schedulable");
             let wall_us = t0.elapsed().as_micros();
             let win = out.best.expect("unbounded race completes");
@@ -254,64 +249,6 @@ pub fn sweep_report(study: &SweepStudy) -> String {
     out
 }
 
-/// One row of the refinement study.
-#[derive(Clone, Debug)]
-pub struct RefineRow {
-    /// Generator seed of the workload.
-    pub seed: u64,
-    /// Edge density of the random DAG.
-    pub density: f64,
-    /// Resource-configuration label.
-    pub resources: &'static str,
-    /// Portfolio diameter before refinement.
-    pub base: u64,
-    /// Diameter after the feedback loop.
-    pub refined: u64,
-    /// The certified schedule lower bound.
-    pub lower_bound: u64,
-    /// Refinement rounds executed.
-    pub rounds: usize,
-}
-
-/// The refinement-benefit study: full portfolios (refinement on, the
-/// default configuration) over unstructured random DAGs under tight
-/// resources — the regime where the base portfolio leaves slack on the
-/// table and cone perturbations can claw it back. Figure-3 benchmarks
-/// and the layered sweep rarely refine (the base portfolio already
-/// sits at or next to the certified bound there); this is where the
-/// loop earns its keep.
-///
-/// # Panics
-///
-/// Panics if a workload fails to schedule.
-pub fn refinement_study(max_seed: u64) -> Vec<RefineRow> {
-    let dm = hls_ir::DelayModel::classic();
-    let mut rows = Vec::new();
-    for seed in 1..=max_seed {
-        for density in [0.05f64, 0.1, 0.2] {
-            for (label, r) in [
-                ("1+/-,1*", ResourceSet::classic(1, 1)),
-                ("2+/-,1*", ResourceSet::classic(2, 1)),
-            ] {
-                let g = generate::random_dag(seed, 120, density, &dm);
-                let out = run_portfolio(&g, &r, &bench_config(2), &Budget::NONE)
-                    .expect("schedulable");
-                assert!(out.diameter <= out.initial_diameter);
-                rows.push(RefineRow {
-                    seed,
-                    density,
-                    resources: label,
-                    base: out.initial_diameter,
-                    refined: out.diameter,
-                    lower_bound: out.lower_bound,
-                    rounds: out.refine_rounds,
-                });
-            }
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,9 +258,8 @@ mod tests {
         let cells = fig3_portfolio(2);
         assert_eq!(cells.len(), 4 * 3);
         for c in &cells {
-            assert!(c.refined <= c.portfolio);
             assert!(c.portfolio <= c.best_single);
-            assert!(c.refined >= c.lower_bound);
+            assert!(c.portfolio >= c.lower_bound);
         }
         let text = fig3_report(&cells);
         assert!(text.contains("HAL") && text.contains("portfolio"));
@@ -337,19 +273,5 @@ mod tests {
         assert!(study.points.iter().all(|p| p.completed >= 1));
         let text = sweep_report(&study);
         assert!(text.contains("vs best single"));
-    }
-
-    #[test]
-    fn refinement_study_improves_somewhere_and_never_regresses() {
-        let rows = refinement_study(4);
-        assert_eq!(rows.len(), 4 * 3 * 2);
-        for row in &rows {
-            assert!(row.refined <= row.base);
-            assert!(row.refined >= row.lower_bound);
-        }
-        assert!(
-            rows.iter().any(|r| r.refined < r.base),
-            "the feedback loop must fire on at least one tight-resource workload"
-        );
     }
 }

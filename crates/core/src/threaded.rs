@@ -410,29 +410,16 @@ impl ThreadedScheduler {
     /// behavior under the current resources, independent of this
     /// state: the behavior-graph diameter folded with the resource
     /// floor. A schedule whose length equals this value is provably
-    /// optimal — the portfolio uses that certificate to skip futile
-    /// refinement rounds.
+    /// optimal.
     pub fn schedule_lower_bound(&self) -> u64 {
         self.res_floor
             .max(self.core.gdist.iter().copied().max().unwrap_or(0))
     }
 
-    /// The distance `‖←v→‖ = sdist(v) + tdist(v) − D(v)` of a scheduled
-    /// operation — the length of the longest state path through `v`.
-    /// `None` if `v` is unscheduled or out of range. An operation is
-    /// *critical* when its distance equals [`ThreadedScheduler::diameter`];
-    /// `diameter − distance` is its slack, the selection key of the
-    /// critical-cone extraction in the portfolio's refinement loop.
-    pub fn distance(&self, v: OpId) -> Option<u64> {
-        let n = self.node_of.get(v.index()).copied().flatten()?;
-        Some(self.nh[n as usize].sdist + self.tdist_of(n) - self.nh[n as usize].delay)
-    }
-
     /// The chain-cover reachability index the scheduler maintains over
     /// its working behavior graph (kept exact under refinement growth).
-    /// Exposed so portfolio-level tooling can run `O(#chains)` set
-    /// probes — e.g. [`ReachIndex::convex_closure`] for critical-cone
-    /// extraction — without rebuilding the index.
+    /// Exposed so tooling can run `O(#chains)` set probes or read the
+    /// chain count without rebuilding the index.
     pub fn reach_index(&self) -> &ReachIndex {
         &self.core.reach
     }
@@ -2338,25 +2325,6 @@ mod tests {
         ts.retype_op(a, OpKind::Nop, 0);
         assert_eq!(ts.diameter(), 1, "diameter must shrink with the delay");
         ts.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn distance_matches_placement_cost_and_gates_on_scheduling() {
-        let (mut ts, v) = fig1_scheduler();
-        assert_eq!(ts.distance(v[0]), None, "unscheduled has no distance");
-        let p = ts.schedule(v[0]).unwrap();
-        assert_eq!(ts.distance(v[0]), Some(p.cost));
-        assert_eq!(ts.distance(OpId::from_index(999)), None);
-        // After a full run, critical ops have distance == diameter.
-        for op in [v[1], v[2], v[3], v[4], v[5], v[6]] {
-            ts.schedule(op).unwrap();
-        }
-        let crit = ts
-            .graph()
-            .op_ids()
-            .filter(|&op| ts.distance(op) == Some(ts.diameter()))
-            .count();
-        assert!(crit > 0, "some op must lie on the critical path");
     }
 
     #[test]

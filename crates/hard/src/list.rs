@@ -80,6 +80,18 @@ pub fn list_schedule(
 
     let prio = priority_keys(g, priority);
     let n = g.len();
+    // Compatible units per op; empty for wire ops, which need none.
+    let compat: Vec<Vec<usize>> = g
+        .op_ids()
+        .map(|v| {
+            let kind = g.kind(v);
+            if kind.resource_class() == ResourceClass::Wire {
+                Vec::new()
+            } else {
+                resources.compatible_units(kind)
+            }
+        })
+        .collect();
     let mut sched = HardSchedule::new(n);
     let mut unit_free = vec![0u64; resources.k()];
     let mut remaining_preds: Vec<usize> = g.op_ids().map(|v| g.preds(v).len()).collect();
@@ -99,17 +111,12 @@ pub fn list_schedule(
             .collect();
         ready.sort_by_key(|&v| (std::cmp::Reverse(prio[v.index()]), v));
 
-        let mut issued_any = false;
         for v in ready {
-            let kind = g.kind(v);
-            let placed = if kind.resource_class() == ResourceClass::Wire {
+            let units = &compat[v.index()];
+            let placed = if units.is_empty() {
                 Some(None)
             } else {
-                resources
-                    .compatible_units(kind)
-                    .into_iter()
-                    .find(|&u| unit_free[u] <= t)
-                    .map(Some)
+                units.iter().copied().find(|&u| unit_free[u] <= t).map(Some)
             };
             if let Some(unit) = placed {
                 sched.assign(v, t, unit);
@@ -123,13 +130,22 @@ pub fn list_schedule(
                 }
                 order.push(v);
                 unscheduled -= 1;
-                issued_any = true;
             }
         }
-        // Advance time; the loop terminates because either something was
-        // issued or some in-flight op finishes / unit frees strictly later.
-        let _ = issued_any;
-        t += 1;
+        // Jump to the next step at which some op can issue: an op whose
+        // predecessors are all scheduled issues no earlier than its
+        // ready time and the earliest free compatible unit. Nothing
+        // changes in the skipped steps, so the schedule is the one a
+        // step-by-step scan builds, at a cost independent of the delays.
+        let next = g
+            .op_ids()
+            .filter(|&v| sched.start(v).is_none() && remaining_preds[v.index()] == 0)
+            .map(|v| {
+                let unit_at = compat[v.index()].iter().map(|&u| unit_free[u]).min();
+                ready_at[v.index()].max(unit_at.unwrap_or(0))
+            })
+            .min();
+        t = next.map_or(t + 1, |next| next.max(t + 1));
     }
     Ok(ListOutcome {
         schedule: sched,
@@ -292,6 +308,30 @@ mod tests {
             schedule::validate(&g, &r, &out.schedule).unwrap();
             assert!(out.length(&g) >= hls_ir::algo::diameter(&g));
             assert!(!p.name().is_empty());
+        }
+    }
+
+    #[test]
+    fn huge_delays_scale_the_schedule_without_stepping_through_it() {
+        // Every start is a sum of delays, so scaling all delays scales
+        // every start and keeps the issue order.
+        let g = hls_ir::generate::stress_dag(4, 60);
+        let mut big = g.clone();
+        for v in big.op_ids() {
+            big.set_delay(v, g.delay(v) << 40);
+        }
+        for r in [ResourceSet::classic(2, 2), ResourceSet::classic(1, 1)] {
+            let small = list_schedule(&g, &r, Priority::CriticalPath).unwrap();
+            let large = list_schedule(&big, &r, Priority::CriticalPath).unwrap();
+            assert_eq!(large.order, small.order);
+            for v in g.op_ids() {
+                assert_eq!(
+                    large.schedule.start(v),
+                    small.schedule.start(v).map(|s| s << 40)
+                );
+                assert_eq!(large.schedule.unit(v), small.schedule.unit(v));
+            }
+            schedule::validate(&big, &r, &large.schedule).unwrap();
         }
     }
 

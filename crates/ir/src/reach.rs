@@ -353,30 +353,6 @@ impl ReachIndex {
         kernels::any_le(self.down_row(v), &ex.max)
     }
 
-    /// The *convex closure* of `seed`: the seed vertices plus every
-    /// vertex lying on a path between two of them (a strict ancestor of
-    /// one seed member and a strict descendant of another). This is the
-    /// critical-path *cone* extraction used by the feedback-guided
-    /// refinement loop: seeded with the zero-slack operations, it
-    /// returns a dependence-convex subgraph whose internal order is the
-    /// only thing the re-scheduling perturbations need to vary.
-    ///
-    /// `O(|V| · #chains)` — two set-probes per vertex against the
-    /// seed's [`ChainExtrema`]. The result is sorted ascending and
-    /// duplicate-free (assuming `seed` is).
-    pub fn convex_closure(&self, seed: &[usize]) -> Vec<usize> {
-        let ex = self.extrema(seed.iter().copied());
-        let mut in_seed = vec![false; self.n];
-        for &v in seed {
-            in_seed[v] = true;
-        }
-        (0..self.n)
-            .filter(|&v| {
-                in_seed[v] || (self.set_reaches(&ex, v) && self.set_reached_by(&ex, v))
-            })
-            .collect()
-    }
-
     /// Absorbs vertices appended to `g` since the index was built or
     /// last grown (refinement splices, ECO ops — the mutation API only
     /// appends). New vertices are covered by fresh chains following
@@ -1058,18 +1034,6 @@ mod tests {
             }
         }
         let _ = ids;
-    }
-
-    #[test]
-    fn convex_closure_fills_in_the_between_vertices() {
-        // a -> b -> d, a -> c -> d: the closure of {a, d} must pull in
-        // b and c (both between), while {b} alone stays {b}.
-        let (g, [a, b, c, d]) = diamond();
-        let idx = ReachIndex::build(&g);
-        let cone = idx.convex_closure(&[a.index(), d.index()]);
-        assert_eq!(cone, vec![a.index(), b.index(), c.index(), d.index()]);
-        assert_eq!(idx.convex_closure(&[b.index()]), vec![b.index()]);
-        assert_eq!(idx.convex_closure(&[]), Vec::<usize>::new());
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub enum Counter {
     StrategyPoisoned,
     /// Strategies whose schedule won their race.
     StrategyWon,
-    /// Feedback-refinement rounds run after the base race.
-    RefineRounds,
     /// (II, meta) candidates attempted by the modulo portfolio.
     ModuloCandidates,
     /// Ladder demotions because a rung ran out of time.
@@ -76,7 +74,6 @@ impl Counter {
         Counter::StrategyTimedOut,
         Counter::StrategyPoisoned,
         Counter::StrategyWon,
-        Counter::RefineRounds,
         Counter::ModuloCandidates,
         Counter::DegradeTimeout,
         Counter::DegradePoisoned,
@@ -102,7 +99,6 @@ impl Counter {
             Counter::StrategyTimedOut => "strategy_timed_out",
             Counter::StrategyPoisoned => "strategy_poisoned",
             Counter::StrategyWon => "strategy_won",
-            Counter::RefineRounds => "refine_rounds",
             Counter::ModuloCandidates => "modulo_candidates",
             Counter::DegradeTimeout => "degrade_timeout",
             Counter::DegradePoisoned => "degrade_poisoned",

@@ -38,37 +38,35 @@ pub enum Phase {
     FlowPlace = 3,
     /// Extraction, validation, FSMD build.
     FlowExtract = 4,
-    /// One portfolio race (base or refinement round).
+    /// One portfolio race.
     PortfolioRace = 5,
     /// One strategy's run inside a race.
     PortfolioRun = 6,
-    /// One feedback-refinement round.
-    RefineRound = 7,
     /// The modulo portfolio (II search).
-    ModuloRace = 8,
+    ModuloRace = 7,
     /// One candidate (II, meta) modulo run.
-    ModuloCandidate = 9,
+    ModuloCandidate = 8,
     /// Multilevel min-cut partitioning.
-    ParallelPartition = 10,
+    ParallelPartition = 9,
     /// Per-block scheduling on the worker pool.
-    ParallelBlocks = 11,
+    ParallelBlocks = 10,
     /// The seam stitch.
-    ParallelStitch = 12,
+    ParallelStitch = 11,
     /// Materialisation back into a live engine.
-    ParallelMaterialize = 13,
+    ParallelMaterialize = 12,
     /// One degradation-ladder rung attempt.
-    DegradeRung = 14,
+    DegradeRung = 13,
     /// One served request, admission to answer.
-    ServeRequest = 15,
+    ServeRequest = 14,
     /// An ECO delta graft on a cached base.
-    EcoGraft = 16,
+    EcoGraft = 15,
     /// Daemon lifecycle (boot, drain, shutdown).
-    ServeLifecycle = 17,
+    ServeLifecycle = 16,
 }
 
 impl Phase {
     /// Every phase, for exporters.
-    pub const ALL: [Phase; 18] = [
+    pub const ALL: [Phase; 17] = [
         Phase::FlowSchedule,
         Phase::FlowSpill,
         Phase::FlowPhi,
@@ -76,7 +74,6 @@ impl Phase {
         Phase::FlowExtract,
         Phase::PortfolioRace,
         Phase::PortfolioRun,
-        Phase::RefineRound,
         Phase::ModuloRace,
         Phase::ModuloCandidate,
         Phase::ParallelPartition,
@@ -99,7 +96,6 @@ impl Phase {
             Phase::FlowExtract => "flow:extract",
             Phase::PortfolioRace => "portfolio:race",
             Phase::PortfolioRun => "portfolio:run",
-            Phase::RefineRound => "portfolio:refine-round",
             Phase::ModuloRace => "modulo:race",
             Phase::ModuloCandidate => "modulo:candidate",
             Phase::ParallelPartition => "parallel:partition",
@@ -121,7 +117,7 @@ impl Phase {
             | Phase::FlowPhi
             | Phase::FlowPlace
             | Phase::FlowExtract => "flow",
-            Phase::PortfolioRace | Phase::PortfolioRun | Phase::RefineRound => "portfolio",
+            Phase::PortfolioRace | Phase::PortfolioRun => "portfolio",
             Phase::ModuloRace | Phase::ModuloCandidate => "modulo",
             Phase::ParallelPartition
             | Phase::ParallelBlocks

@@ -145,12 +145,12 @@ fn sampling_records_every_nth() {
     let _rec = Recording::start();
     recorder::set_sample_every(10);
     for i in 0..100u64 {
-        recorder::instant(Phase::RefineRound, "sampled", i);
+        recorder::instant(Phase::ModuloCandidate, "sampled", i);
     }
     recorder::set_sample_every(1);
     let n = recorder::snapshot_events()
         .into_iter()
-        .filter(|e| e.phase == Phase::RefineRound)
+        .filter(|e| e.phase == Phase::ModuloCandidate)
         .count();
     assert_eq!(n, 10, "1-in-10 sampling must keep exactly 10 of 100");
 }

@@ -1,4 +1,4 @@
-//! Parallel portfolio scheduling with feedback-guided refinement.
+//! Parallel portfolio scheduling over the threaded scheduler.
 //!
 //! The paper's Section 5 (and our Figure 3 reproduction) shows that the
 //! *meta schedule* — the order in which operations are fed to the
@@ -6,8 +6,8 @@
 //! states even on the small benchmarks, and more on random workloads.
 //! Since the incremental engine made a single `schedule_all` run cheap
 //! (`BENCH_2.json`: ~linear to 100k ops), we can afford to run *many*
-//! meta schedules per design and keep the best. This crate does that,
-//! in two layers:
+//! meta schedules per design and keep the best. This crate does that
+//! for two kinds of design:
 //!
 //! * [`portfolio`] — a **parallel portfolio**: the paper's four meta
 //!   schedules plus seeded [`MetaSchedule::Random`] /
@@ -26,14 +26,6 @@
 //!   (resolved over the kernel DAG) — racing behind one
 //!   `(II, latency, candidate)` incumbent. Completions at the minimum
 //!   feasible II prune every higher-II candidate.
-//! * [`cone`] + [`perturb`] — **feedback-guided refinement** in the
-//!   spirit of subgraph-extraction iterative scheduling (Wu et al.,
-//!   arXiv:2401.12343): extract the winner's *critical cone* (the
-//!   operations whose distance `‖←v→‖` is within a slack band of the
-//!   diameter, convex-closed through the chain-cover reachability
-//!   index), re-schedule under seeded permutations of just that cone,
-//!   keep strict improvements, and iterate until no improvement for a
-//!   configured number of rounds.
 //!
 //! Both portfolios run on one private race executor (worker pool,
 //! packed incumbent, panic containment, fold), so both winners are
@@ -49,8 +41,8 @@
 //! let g = bench_graphs::ewf();
 //! let resources = ResourceSet::classic(2, 2);
 //! let out = run_portfolio(&g, &resources, &PortfolioConfig::default(), &Budget::NONE)?;
-//! // The portfolio can never lose to a single meta schedule it contains.
-//! assert!(out.diameter <= out.initial_diameter);
+//! // No schedule beats the certified lower bound.
+//! assert!(out.diameter >= out.lower_bound);
 //! println!("{} wins with {} states", out.winner_name, out.diameter);
 //! # Ok::<(), threaded_sched::SchedError>(())
 //! ```
@@ -60,19 +52,15 @@
 
 #![warn(missing_docs)]
 
-pub mod cone;
 pub mod modulo;
-pub mod perturb;
 pub mod portfolio;
 mod race;
 
-pub use cone::critical_cone;
 pub use modulo::{
     run_modulo_portfolio, ModuloPortfolioOutcome, ModuloRunReport, PipelineConfig,
 };
-pub use perturb::{cone_first, perturb_within};
 pub use portfolio::{
-    base_candidates, race, run_portfolio, Candidate, OrderSource, PortfolioConfig,
-    PortfolioOutcome, RaceOutcome, RaceWinner, RefineConfig, RunReport,
+    base_candidates, race, run_portfolio, Candidate, PortfolioConfig, PortfolioOutcome,
+    RaceOutcome, RaceWinner, RunReport,
 };
 pub use race::race_workers;

@@ -136,7 +136,7 @@ pub struct ModuloPortfolioOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the II window × order recipes exceed 65534 candidates
+/// Panics if the II window × order recipes exceed 65535 candidates
 /// (the packed-slot budget).
 pub fn run_modulo_portfolio(
     g: &PrecedenceGraph,
@@ -174,7 +174,6 @@ pub fn run_modulo_portfolio(
         WHAT,
         &tags,
         cfg.threads,
-        None,
         || (),
         |_, index, probe| {
             let (ii, oi) = candidates[index];

@@ -1,6 +1,4 @@
-//! The parallel portfolio race and the refinement driver.
-//!
-//! # The race
+//! The parallel portfolio race.
 //!
 //! Candidates (meta orders) race on the crate's race executor, scored
 //! by final state diameter. Each run probes the shared incumbent after
@@ -14,18 +12,11 @@
 //! timing; only the losers' [`RunReport`]s do. `DESIGN.md` §7 spells
 //! out the argument.
 //!
-//! # The refinement driver
-//!
-//! [`run_portfolio`] runs the base race over the paper's four meta
-//! schedules plus the seeded perturbation populations, then iterates
-//! the feedback loop: extract the winner's critical cone
-//! ([`crate::cone::critical_cone`]), race seeded cone-local
-//! perturbations ([`crate::perturb::perturb_within`]) against the
-//! incumbent diameter (strict improvement required), adopt a winner,
-//! and stop after a configured number of improvement-free rounds.
+//! [`run_portfolio`] is one such race over [`base_candidates`]: the
+//! paper's four meta schedules plus the seeded perturbation
+//! populations.
 
-use crate::race::{self, End};
-use crate::{cone, perturb};
+use crate::race::{self, End, SCORE_LIMIT};
 use hls_ir::{OpId, PrecedenceGraph, ResourceSet};
 use threaded_sched::meta::MetaSchedule;
 use threaded_sched::{RunOutcome, SchedError, ThreadedScheduler};
@@ -33,42 +24,19 @@ use threaded_sched::{RunOutcome, SchedError, ThreadedScheduler};
 /// What the race calls its candidates in post-mortems and errors.
 const WHAT: &str = "portfolio strategy";
 
-/// Where a candidate's feed order comes from.
-///
-/// Meta sources are resolved *inside* the race worker that picks the
-/// candidate up: order construction (list scheduling for
-/// [`MetaSchedule::ListBased`], longest-path peeling for
-/// [`MetaSchedule::PathBased`]) is real work that parallelises with
-/// everything else and must be charged to the strategy that needs it.
-#[derive(Clone, Debug)]
-pub enum OrderSource {
-    /// Compute the order from a meta schedule at run time.
-    Meta(MetaSchedule),
-    /// An explicit order (the refinement perturbations).
-    Explicit(Vec<OpId>),
-}
-
-impl OrderSource {
-    /// Resolves the concrete feed order.
-    fn resolve(
-        &self,
-        g: &PrecedenceGraph,
-        resources: &ResourceSet,
-    ) -> Result<Vec<OpId>, SchedError> {
-        match self {
-            OrderSource::Meta(m) => m.order(g, resources),
-            OrderSource::Explicit(order) => Ok(order.clone()),
-        }
-    }
-}
-
 /// One strategy racing in a portfolio.
 #[derive(Clone, Debug)]
 pub struct Candidate {
-    /// Display name (meta-schedule name or perturbation tag).
+    /// Display name (meta-schedule name or perturbation seed tag).
     pub name: String,
-    /// The operation feed order (or the recipe for it).
-    pub source: OrderSource,
+    /// The meta schedule whose order the candidate feeds. It is
+    /// resolved *inside* the race worker that picks the candidate up:
+    /// order construction (list scheduling for
+    /// [`MetaSchedule::ListBased`], longest-path peeling for
+    /// [`MetaSchedule::PathBased`]) is real work that parallelises with
+    /// everything else and must be charged to the strategy that needs
+    /// it.
+    pub meta: MetaSchedule,
 }
 
 /// What happened to one candidate in a race.
@@ -111,17 +79,12 @@ pub struct RaceWinner {
 pub struct RaceOutcome {
     /// Per-candidate reports, in candidate order.
     pub reports: Vec<RunReport>,
-    /// The winner — `None` if every run aborted against the external
-    /// bound.
+    /// The winner — `None` if no run completed (every run timed out or
+    /// panicked, or the candidate list was empty).
     pub best: Option<RaceWinner>,
 }
 
 /// Races `candidates` over `g` on up to `threads` OS threads.
-///
-/// `bound`, when given, pre-seeds the incumbent with slot 0 at that
-/// diameter: only candidates *strictly better* than the bound can
-/// complete and win (ties abort). With no bound the incumbent starts
-/// at infinity and the best candidate always completes.
 ///
 /// `budget` applies to **every run independently** (each draws its own
 /// step quota; a wall deadline is a shared absolute instant). Runs
@@ -139,43 +102,48 @@ pub struct RaceOutcome {
 /// # Errors
 ///
 /// Propagates the first [`SchedError`] raised by any run (a cyclic
-/// graph or an operation with no compatible unit). Poisoned and
-/// timed-out runs are *not* errors at this level — callers decide
-/// (e.g. [`run_portfolio`] errors only when nothing survived).
+/// graph or an operation with no compatible unit), and returns
+/// [`SchedError::ResourceExhausted`] when the delays of `g` sum to
+/// 2⁴⁸ or more: every diameter and certified bound is at most that
+/// sum, and the race's packed incumbent holds scores below 2⁴⁸ only.
+/// Poisoned and timed-out runs are *not* errors at this level — callers
+/// decide (e.g. [`run_portfolio`] errors only when nothing survived).
 ///
 /// # Panics
 ///
-/// Panics if `candidates.len() > 65534` (the packed-slot budget).
+/// Panics if `candidates.len() > 65535` (the packed-slot budget).
 pub fn race(
     g: &PrecedenceGraph,
     resources: &ResourceSet,
     candidates: &[Candidate],
     threads: usize,
-    bound: Option<u64>,
     budget: &hls_ir::Budget,
 ) -> Result<RaceOutcome, SchedError> {
+    Ok(race_with_verdict(g, resources, candidates, threads, budget)?.0)
+}
+
+/// [`race`], plus the race's no-survivor verdict (`None` when a
+/// candidate won) for [`run_portfolio`]'s error.
+fn race_with_verdict(
+    g: &PrecedenceGraph,
+    resources: &ResourceSet,
+    candidates: &[Candidate],
+    threads: usize,
+    budget: &hls_ir::Budget,
+) -> Result<(RaceOutcome, Option<SchedError>), SchedError> {
+    let delay_sum = g
+        .op_ids()
+        .try_fold(0u64, |sum, v| sum.checked_add(g.delay(v)));
+    if delay_sum.is_none_or(|sum| sum >= SCORE_LIMIT) {
+        return Err(SchedError::ResourceExhausted(
+            "operation delays sum to 2^48 or more, past the race's score range".into(),
+        ));
+    }
     // Every run starts from the same pristine state; building it once
     // and cloning (one clone per worker, then one per run) pays the
     // graph validation, chain-cover decomposition, sink-distance
     // sweep and resource floor once instead of once per candidate.
     let template = ThreadedScheduler::new(g.clone(), resources.clone())?;
-    Ok(race_from(&template, g, resources, candidates, threads, bound, budget)?.0)
-}
-
-/// [`race`] with a caller-supplied pristine scheduler — what
-/// [`run_portfolio`] uses so the base race and every refinement round
-/// share one index build instead of re-deriving it per call. Next to
-/// the outcome it returns the race's no-survivor verdict (`None` when a
-/// candidate won).
-fn race_from(
-    template: &ThreadedScheduler,
-    g: &PrecedenceGraph,
-    resources: &ResourceSet,
-    candidates: &[Candidate],
-    threads: usize,
-    bound: Option<u64>,
-    budget: &hls_ir::Budget,
-) -> Result<(RaceOutcome, Option<SchedError>), SchedError> {
     if candidates.is_empty() {
         let outcome = RaceOutcome {
             reports: Vec::new(),
@@ -193,13 +161,12 @@ fn race_from(
         WHAT,
         &tags,
         threads,
-        bound,
         || template.clone(),
         |template, index, probe| {
             let cand = &candidates[index];
             hls_obs::obs_count!(StrategySpawned);
             let _span = hls_obs::obs_span!(PortfolioRun, &cand.name, index as u64 + 1);
-            let order = cand.source.resolve(g, resources)?;
+            let order = cand.meta.order(g, resources)?;
             // Boxed: the scheduler dwarfs every other result the
             // workers send, and most results are losers.
             let mut ts = Box::new(template.clone());
@@ -260,43 +227,10 @@ fn race_from(
     Ok((RaceOutcome { reports, best }, verdict))
 }
 
-/// Configuration of the feedback-guided refinement loop.
-#[derive(Clone, Debug)]
-pub struct RefineConfig {
-    /// Stop after this many consecutive rounds without a strict
-    /// diameter improvement (the paper-inspired `R`). `0` disables
-    /// refinement entirely.
-    pub stall_rounds: usize,
-    /// Hard cap on refinement rounds, improvement or not.
-    pub max_rounds: usize,
-    /// Perturbed orders raced per round. `0` disables refinement.
-    pub candidates_per_round: usize,
-    /// Slack band of the critical-cone extraction: operations with
-    /// `diameter − ‖←v→‖ ≤ slack_band` seed the cone. A band of 1
-    /// (default) pulls in the near-critical ops whose placement the
-    /// perturbations most often need to vary; 0 is the pure critical
-    /// cone.
-    pub slack_band: u64,
-    /// Base seed of the perturbation shuffles.
-    pub seed: u64,
-}
-
-impl Default for RefineConfig {
-    fn default() -> Self {
-        RefineConfig {
-            stall_rounds: 2,
-            max_rounds: 8,
-            candidates_per_round: 4,
-            slack_band: 1,
-            seed: 0x5EED_F00D,
-        }
-    }
-}
-
 /// Configuration of [`run_portfolio`].
 #[derive(Clone, Debug)]
 pub struct PortfolioConfig {
-    /// OS threads the races may use. Affects wall time only — the
+    /// OS threads the race may use. Affects wall time only — the
     /// result is deterministic for a fixed strategy/seed set.
     pub threads: usize,
     /// Seeds for the [`MetaSchedule::Random`] perturbation population
@@ -305,8 +239,6 @@ pub struct PortfolioConfig {
     /// Seeds for the [`MetaSchedule::RandomTopo`] population (random
     /// topological tie-breaks).
     pub topo_seeds: Vec<u64>,
-    /// The feedback-refinement parameters.
-    pub refine: RefineConfig,
 }
 
 impl Default for PortfolioConfig {
@@ -316,7 +248,6 @@ impl Default for PortfolioConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()).min(8),
             random_seeds: vec![0xA11CE, 0xB0B5],
             topo_seeds: vec![0x7E40_0001, 0x7E40_0002],
-            refine: RefineConfig::default(),
         }
     }
 }
@@ -324,31 +255,24 @@ impl Default for PortfolioConfig {
 /// Everything [`run_portfolio`] produces.
 #[derive(Debug)]
 pub struct PortfolioOutcome {
-    /// The winning scheduler, holding the final (possibly refined)
-    /// state; use it exactly like a directly-driven
-    /// [`ThreadedScheduler`] (extract, refine further, snapshot).
+    /// The winning scheduler, holding the completed state; use it
+    /// exactly like a directly-driven [`ThreadedScheduler`] (extract,
+    /// refine, snapshot).
     pub winner: ThreadedScheduler,
-    /// Name of the winning candidate (a meta schedule, a perturbation
-    /// seed tag, or a refinement-round tag).
+    /// Name of the winning candidate (a meta schedule or a
+    /// perturbation seed tag).
     pub winner_name: String,
-    /// The feed order that produced the winner (the refinement loop
-    /// perturbs this order further).
+    /// The feed order that produced the winner.
     pub winner_order: Vec<OpId>,
-    /// Final state diameter after refinement.
+    /// Final state diameter — by construction `≤` every single meta
+    /// schedule in the portfolio.
     pub diameter: u64,
-    /// Diameter of the portfolio winner *before* refinement — by
-    /// construction `≤` every single meta schedule in the portfolio.
-    pub initial_diameter: u64,
     /// The certified lower bound on any schedule of this behavior
     /// under these resources
     /// ([`ThreadedScheduler::schedule_lower_bound`]). When
-    /// `diameter == lower_bound` the result is provably optimal and
-    /// refinement was skipped.
+    /// `diameter == lower_bound` the result is provably optimal.
     pub lower_bound: u64,
-    /// Refinement rounds executed.
-    pub refine_rounds: usize,
-    /// Reports of every run: the base portfolio first, then each
-    /// refinement round's candidates.
+    /// Reports of every run, in [`base_candidates`] order.
     pub runs: Vec<RunReport>,
 }
 
@@ -361,46 +285,44 @@ pub fn base_candidates(cfg: &PortfolioConfig) -> Vec<Candidate> {
     for m in MetaSchedule::PAPER {
         candidates.push(Candidate {
             name: m.name().to_string(),
-            source: OrderSource::Meta(m),
+            meta: m,
         });
     }
     for &seed in &cfg.random_seeds {
         candidates.push(Candidate {
             name: format!("random({seed:#x})"),
-            source: OrderSource::Meta(MetaSchedule::Random(seed)),
+            meta: MetaSchedule::Random(seed),
         });
     }
     for &seed in &cfg.topo_seeds {
         candidates.push(Candidate {
             name: format!("random-topo({seed:#x})"),
-            source: OrderSource::Meta(MetaSchedule::RandomTopo(seed)),
+            meta: MetaSchedule::RandomTopo(seed),
         });
     }
     candidates
 }
 
-/// Runs the full portfolio: the paper's four meta schedules plus the
-/// seeded perturbation populations race once, then the feedback loop
-/// refines the winner. See the [module docs](self).
+/// Runs the portfolio: one [`race`] over [`base_candidates`] — the
+/// paper's four meta schedules plus the seeded perturbation
+/// populations. See the [module docs](self).
 ///
-/// `budget` applies to every run of the base race and of each
-/// refinement round, as in [`race`]; refinement rounds stop launching
-/// once its wall deadline passes. [`hls_ir::Budget::NONE`] runs
-/// unconstrained.
+/// `budget` applies to every run, as in [`race`];
+/// [`hls_ir::Budget::NONE`] runs unconstrained.
 ///
 /// The returned diameter is never worse than the best single meta
-/// schedule in the portfolio (the base race contains them), and the
-/// result is deterministic for a fixed configuration regardless of
-/// `cfg.threads`.
+/// schedule in the portfolio, and the result is deterministic for a
+/// fixed configuration regardless of `cfg.threads`.
 ///
 /// # Errors
 ///
 /// Propagates [`SchedError`] from order construction (e.g.
-/// [`MetaSchedule::ListBased`] without compatible units) or from any
-/// run. When *no* base candidate completes — every run timed out or
-/// was poisoned — returns [`SchedError::Timeout`] (if any run hit the
-/// budget) or [`SchedError::Poisoned`] naming the dead strategies;
-/// a race with at least one survivor succeeds with the best survivor.
+/// [`MetaSchedule::ListBased`] without compatible units), from any run,
+/// or from [`race`]'s score-range check. When *no* candidate completes
+/// — every run timed out or was poisoned — returns
+/// [`SchedError::Timeout`] (if any run hit the budget) or
+/// [`SchedError::Poisoned`] naming the dead strategies; a race with at
+/// least one survivor succeeds with the best survivor.
 pub fn run_portfolio(
     g: &PrecedenceGraph,
     resources: &ResourceSet,
@@ -408,108 +330,20 @@ pub fn run_portfolio(
     budget: &hls_ir::Budget,
 ) -> Result<PortfolioOutcome, SchedError> {
     let candidates = base_candidates(cfg);
-    // One pristine scheduler (graph validation, chain cover, bound
-    // caches) shared by the base race and every refinement round.
-    let template = ThreadedScheduler::new(g.clone(), resources.clone())?;
-    let (base, verdict) =
-        race_from(&template, g, resources, &candidates, cfg.threads, None, budget)?;
-    let mut runs = base.reports;
-    let Some(win) = base.best else {
-        // An unbounded race only fails to produce a winner when every
-        // run was cut down by the budget or by a panic (acyclic runs
-        // never merely fail, so the verdict is always set).
+    let (raced, verdict) = race_with_verdict(g, resources, &candidates, cfg.threads, budget)?;
+    let Some(win) = raced.best else {
+        // A race over a non-empty list only fails to produce a winner
+        // when every run was cut down by the budget or by a panic
+        // (acyclic runs never merely fail, so the verdict is set).
         return Err(verdict.unwrap_or(SchedError::Timeout));
     };
-    let initial_diameter = win.diameter;
-    let mut winner = win.scheduler;
-    let mut winner_name = candidates[win.index].name.clone();
-    let mut winner_order = win.order;
-    let mut diameter = initial_diameter;
-
-    let lower_bound = winner.schedule_lower_bound();
-    let mut rounds = 0usize;
-    let mut stall = 0usize;
-    while diameter > lower_bound
-        && stall < cfg.refine.stall_rounds
-        && rounds < cfg.refine.max_rounds
-        && cfg.refine.candidates_per_round > 0
-        && !budget.wall_expired()
-    {
-        rounds += 1;
-        hls_obs::obs_count!(RefineRounds);
-        let _round_span = hls_obs::obs_span!(RefineRound, "", rounds as u64);
-        let cone = cone::critical_cone(&winner, cfg.refine.slack_band);
-        if cone.len() < 2 {
-            break; // nothing to permute
-        }
-        let mut in_cone = vec![false; g.len()];
-        for &v in &cone {
-            in_cone[v.index()] = true;
-        }
-        // Candidate 0 is the deterministic cone-first move — but only
-        // while the winner is fresh (repeating it against an unchanged
-        // winner would just replay a known loser); the rest are seeded
-        // cone-local shuffles.
-        let with_front = stall == 0;
-        let perturbed: Vec<Candidate> = (0..cfg.refine.candidates_per_round)
-            .map(|i| {
-                let (name, order) = if i == 0 && with_front {
-                    (
-                        format!("refine r{rounds}.front"),
-                        perturb::cone_first(&winner_order, &in_cone),
-                    )
-                } else {
-                    (
-                        format!("refine r{rounds}.{i}"),
-                        perturb::perturb_within(
-                            &winner_order,
-                            &in_cone,
-                            perturb::mix_seed(cfg.refine.seed, rounds as u64, i as u64),
-                        ),
-                    )
-                };
-                Candidate {
-                    name,
-                    source: OrderSource::Explicit(order),
-                }
-            })
-            .collect();
-        let (round, _) = race_from(
-            &template,
-            g,
-            resources,
-            &perturbed,
-            cfg.threads,
-            Some(diameter),
-            budget,
-        )?;
-        let mut improved = false;
-        if let Some(w) = round.best {
-            // A bounded race only completes strict improvements.
-            debug_assert!(w.diameter < diameter);
-            diameter = w.diameter;
-            winner = w.scheduler;
-            winner_name = perturbed[w.index].name.clone();
-            winner_order = w.order;
-            improved = true;
-        }
-        runs.extend(round.reports);
-        if improved {
-            stall = 0;
-        } else {
-            stall += 1;
-        }
-    }
-
     Ok(PortfolioOutcome {
-        winner,
-        winner_name,
-        winner_order,
-        diameter,
-        initial_diameter,
-        lower_bound,
-        refine_rounds: rounds,
-        runs,
+        lower_bound: win.scheduler.schedule_lower_bound(),
+        winner_name: candidates[win.index].name.clone(),
+        winner: win.scheduler,
+        winner_order: win.order,
+        diameter: win.diameter,
+        runs: raced.reports,
     })
 }
 
@@ -518,18 +352,13 @@ mod tests {
     use super::*;
     use hls_ir::bench_graphs;
 
-    fn two_identical(g: &PrecedenceGraph, r: &ResourceSet) -> Vec<Candidate> {
-        let order = MetaSchedule::Topological.order(g, r).unwrap();
-        vec![
-            Candidate {
-                name: "first".into(),
-                source: OrderSource::Explicit(order.clone()),
-            },
-            Candidate {
-                name: "twin".into(),
-                source: OrderSource::Explicit(order),
-            },
-        ]
+    fn two_identical() -> Vec<Candidate> {
+        ["first", "twin"]
+            .map(|name| Candidate {
+                name: name.into(),
+                meta: MetaSchedule::Topological,
+            })
+            .to_vec()
     }
 
     #[test]
@@ -539,7 +368,7 @@ mod tests {
         // with a larger slot and must abort — deterministically.
         let g = bench_graphs::ewf();
         let r = ResourceSet::classic(2, 2);
-        let out = race(&g, &r, &two_identical(&g, &r), 1, None, &hls_ir::Budget::NONE).unwrap();
+        let out = race(&g, &r, &two_identical(), 1, &hls_ir::Budget::NONE).unwrap();
         let win = out.best.expect("first candidate completes");
         assert_eq!(win.index, 0);
         assert_eq!(win.scheduler.diameter(), win.diameter);
@@ -551,19 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_race_with_unbeatable_bound_completes_nothing() {
-        let g = bench_graphs::ewf();
-        let r = ResourceSet::classic(2, 2);
-        // The graph's critical path lower-bounds every schedule, so a
-        // bound at that value admits no strict improvement.
-        let bound = hls_ir::algo::diameter(&g);
-        let out = race(&g, &r, &two_identical(&g, &r), 2, Some(bound), &hls_ir::Budget::NONE)
-            .unwrap();
-        assert!(out.best.is_none());
-        assert!(out.reports.iter().all(|rep| rep.diameter.is_none()));
-    }
-
-    #[test]
     fn race_reports_line_up_with_candidates() {
         let g = bench_graphs::hal();
         let r = ResourceSet::classic(2, 2);
@@ -571,10 +387,10 @@ mod tests {
             .into_iter()
             .map(|m| Candidate {
                 name: m.name().to_string(),
-                source: OrderSource::Meta(m),
+                meta: m,
             })
             .collect();
-        let out = race(&g, &r, &cands, 4, None, &hls_ir::Budget::NONE).unwrap();
+        let out = race(&g, &r, &cands, 4, &hls_ir::Budget::NONE).unwrap();
         assert_eq!(out.reports.len(), 4);
         for (rep, c) in out.reports.iter().zip(&cands) {
             assert_eq!(rep.name, c.name);
@@ -585,7 +401,7 @@ mod tests {
     fn empty_candidate_list_is_a_clean_no_op() {
         let g = bench_graphs::hal();
         let r = ResourceSet::classic(2, 2);
-        let out = race(&g, &r, &[], 4, None, &hls_ir::Budget::NONE).unwrap();
+        let out = race(&g, &r, &[], 4, &hls_ir::Budget::NONE).unwrap();
         assert!(out.reports.is_empty());
         assert!(out.best.is_none());
     }
@@ -594,12 +410,11 @@ mod tests {
     fn scheduling_errors_propagate_out_of_the_race() {
         let g = bench_graphs::hal();
         let r = ResourceSet::classic(2, 0); // no multiplier
-        let order: Vec<OpId> = g.op_ids().collect();
         let cands = vec![Candidate {
             name: "doomed".into(),
-            source: OrderSource::Explicit(order),
+            meta: MetaSchedule::Topological,
         }];
-        assert!(race(&g, &r, &cands, 2, None, &hls_ir::Budget::NONE).is_err());
+        assert!(race(&g, &r, &cands, 2, &hls_ir::Budget::NONE).is_err());
     }
 
     #[test]
@@ -610,21 +425,14 @@ mod tests {
         // recorded, the twin survives and wins the race.
         let g = bench_graphs::ewf();
         let r = ResourceSet::classic(2, 2);
-        let order = MetaSchedule::Topological.order(&g, &r).unwrap();
-        let cands = vec![
-            Candidate {
-                name: "race-poison-target".into(),
-                source: OrderSource::Explicit(order.clone()),
-            },
-            Candidate {
-                name: "race-poison-survivor".into(),
-                source: OrderSource::Explicit(order),
-            },
-        ];
+        let cands = ["race-poison-target", "race-poison-survivor"].map(|name| Candidate {
+            name: name.into(),
+            meta: MetaSchedule::Topological,
+        });
         let _armed = hls_ir::faultinject::arm(
             hls_ir::faultinject::FaultPlan::panic_at(3).in_run("race-poison-target"),
         );
-        let out = race(&g, &r, &cands, 2, None, &hls_ir::Budget::NONE).unwrap();
+        let out = race(&g, &r, &cands, 2, &hls_ir::Budget::NONE).unwrap();
         let win = out.best.expect("the unpoisoned twin completes");
         assert_eq!(win.index, 1, "the survivor wins, not the poisoned slot");
         let dead = &out.reports[0];
@@ -641,7 +449,7 @@ mod tests {
         let g = bench_graphs::ewf();
         let r = ResourceSet::classic(2, 2);
         let budget = hls_ir::Budget::steps(3);
-        let out = race(&g, &r, &two_identical(&g, &r), 1, None, &budget).unwrap();
+        let out = race(&g, &r, &two_identical(), 1, &budget).unwrap();
         assert!(out.best.is_none());
         for rep in &out.reports {
             assert!(rep.timed_out, "both runs hit the 3-step quota: {rep:?}");
@@ -664,17 +472,72 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_runs_cover_base_and_refinement() {
-        let g = bench_graphs::ewf();
-        let r = ResourceSet::classic(2, 2);
+    fn portfolio_is_exactly_the_base_race() {
         let cfg = PortfolioConfig {
             threads: 2,
             ..PortfolioConfig::default()
         };
-        let out = run_portfolio(&g, &r, &cfg, &hls_ir::Budget::NONE).unwrap();
-        assert!(out.runs.len() >= 8, "base portfolio is 8 strategies");
-        assert!(out.diameter <= out.initial_diameter);
-        assert_eq!(out.winner.diameter(), out.diameter);
-        out.winner.check_invariants().unwrap();
+        let mut inputs: Vec<(String, PrecedenceGraph, ResourceSet)> = Vec::new();
+        for (name, g) in bench_graphs::all()
+            .into_iter()
+            .filter(|(n, _)| *n != "FIG1")
+        {
+            for r in [
+                ResourceSet::classic(2, 2),
+                ResourceSet::classic(4, 4),
+                ResourceSet::classic(2, 1),
+            ] {
+                inputs.push((name.to_string(), g.clone(), r));
+            }
+        }
+        for seed in [13, 19] {
+            let g = hls_ir::generate::stress_dag(seed, 300);
+            inputs.push((
+                format!("stress({seed}, 300)"),
+                g,
+                ResourceSet::classic(2, 2),
+            ));
+        }
+        let candidates = base_candidates(&cfg);
+        for (name, g, r) in inputs {
+            let out = run_portfolio(&g, &r, &cfg, &hls_ir::Budget::NONE).unwrap();
+            let raced = race(&g, &r, &candidates, cfg.threads, &hls_ir::Budget::NONE).unwrap();
+            let win = raced.best.expect("an unbudgeted race has a winner");
+            assert_eq!(out.runs.len(), candidates.len(), "{name} {r:?}");
+            assert_eq!(out.winner_name, candidates[win.index].name, "{name} {r:?}");
+            assert_eq!(out.diameter, win.diameter, "{name} {r:?}");
+            assert_eq!(out.winner_order, win.order, "{name} {r:?}");
+            assert_eq!(out.winner.diameter(), out.diameter, "{name} {r:?}");
+        }
+    }
+
+    /// `g` with every delay shifted left by `shift` bits.
+    fn scaled(g: &PrecedenceGraph, shift: u32) -> PrecedenceGraph {
+        let mut g = g.clone();
+        for v in g.op_ids() {
+            g.set_delay(v, g.delay(v) << shift);
+        }
+        g
+    }
+
+    #[test]
+    fn race_rejects_scores_the_packed_incumbent_cannot_hold() {
+        let g = hls_ir::generate::stress_dag(4, 60);
+        let r = ResourceSet::classic(2, 2);
+        let candidates = base_candidates(&PortfolioConfig::default());
+        let none = &hls_ir::Budget::NONE;
+        for threads in [1, 2] {
+            let winner = |g: &PrecedenceGraph| {
+                race(g, &r, &candidates, threads, none).map(|out| out.best.expect("no budget"))
+            };
+            let want = winner(&g).unwrap();
+            let got = winner(&scaled(&g, 40)).unwrap();
+            assert_eq!(got.index, want.index, "threads {threads}");
+            assert_eq!(got.diameter, want.diameter << 40, "threads {threads}");
+            match winner(&scaled(&g, 45)) {
+                Err(SchedError::ResourceExhausted(_)) => {}
+                other => panic!("expected ResourceExhausted, got {other:?}"),
+            }
+        }
     }
 }

@@ -3,9 +3,8 @@
 //! Scoped workers pull candidate indices from one shared counter. The
 //! only coordination state is the *incumbent*: the smallest
 //! `(score, slot)` over completed runs, packed into one `AtomicU64` as
-//! `score << 16 | slot` and maintained with `fetch_min`. Candidate `i`
-//! owns slot `i + 1`; slot 0 holds an optional external bound, so ties
-//! with the bound lose. A candidate that gives up only when
+//! `score << 16 | slot` and maintained with `fetch_min`; candidate `i`
+//! owns slot `i`. A candidate that gives up only when
 //! [`Probe::loses`] holds for a lower bound on its own final score
 //! keeps the winner — `argmin (score, index)` over completions —
 //! independent of worker count and timing (`DESIGN.md` §7).
@@ -22,13 +21,17 @@ use threaded_sched::SchedError;
 
 /// Bits of the packed incumbent reserved for the candidate slot.
 const SLOT_BITS: u32 = 16;
-/// Largest raceable candidate count (slot 0 is the external bound).
-const MAX_CANDIDATES: usize = (1 << SLOT_BITS) - 2;
+/// Largest raceable candidate count. Slot `u16::MAX` is never taken,
+/// so no completion packs to the empty incumbent `u64::MAX`.
+const MAX_CANDIDATES: usize = (1 << SLOT_BITS) - 1;
+/// Scores must stay below this to survive the packing; callers whose
+/// scores input can inflate check it before racing.
+pub(crate) const SCORE_LIMIT: u64 = 1 << (64 - SLOT_BITS);
 
 /// Packs a `(score, slot)` pair so that `u64` ordering is the
 /// lexicographic ordering of the pair.
 fn pack(score: u64, slot: u64) -> u64 {
-    debug_assert!(score < 1 << (64 - SLOT_BITS), "score overflows the packing");
+    debug_assert!(score < SCORE_LIMIT, "score overflows the packing");
     (score << SLOT_BITS) | slot
 }
 
@@ -150,10 +153,10 @@ impl<T, D> Raced<T, D> {
 /// (state that is `Send` but not `Sync`, such as a scheduler to clone
 /// runs from); `candidate(state, index, probe)` runs candidate `index`
 /// and reports how it ended plus a detail for its report. A completion
-/// enters the incumbent; `bound`, when given, pre-seeds it at slot 0.
-/// A panic in `candidate` becomes [`End::Poisoned`] with a default
-/// detail, and every poisoned candidate, however it died, leaves a
-/// flight dump naming `what` and its tag.
+/// enters the incumbent. A panic in `candidate` becomes
+/// [`End::Poisoned`] with a default detail, and every poisoned
+/// candidate, however it died, leaves a flight dump naming `what` and
+/// its tag.
 ///
 /// # Errors
 ///
@@ -162,13 +165,12 @@ impl<T, D> Raced<T, D> {
 ///
 /// # Panics
 ///
-/// Panics if there are more than 65534 candidates (the packed-slot
+/// Panics if there are more than 65535 candidates (the packed-slot
 /// budget).
 pub(crate) fn run<S, W, T, D>(
     what: &str,
     tags: &[S],
     threads: usize,
-    bound: Option<u64>,
     init: impl Fn() -> W,
     candidate: impl Fn(&mut W, usize, &Probe<'_>) -> Result<(End<T>, D), SchedError> + Sync,
 ) -> Result<Raced<T, D>, SchedError>
@@ -180,7 +182,7 @@ where
 {
     let n = tags.len();
     assert!(n <= MAX_CANDIDATES, "too many candidates for the packed incumbent");
-    let incumbent = AtomicU64::new(bound.map_or(u64::MAX, |b| pack(b, 0)));
+    let incumbent = AtomicU64::new(u64::MAX);
     let next = AtomicUsize::new(0);
     let mut ends: Vec<Option<(End<()>, D)>> = Vec::new();
     ends.resize_with(n, || None);
@@ -200,7 +202,7 @@ where
                 let tag = tags[index].as_ref();
                 let probe = Probe {
                     incumbent,
-                    slot: index as u64 + 1,
+                    slot: index as u64,
                 };
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let _scope = hls_ir::faultinject::RunScope::enter(tag);
@@ -289,15 +291,7 @@ mod tests {
     fn winner_is_the_same_at_any_worker_count() {
         let scores = [9, 4, 7, 4, 5, 12, 4, 8];
         for threads in [1, 2, 8] {
-            let raced = run(
-                "test",
-                &tags(scores.len()),
-                threads,
-                None,
-                || (),
-                scored(&scores),
-            )
-            .unwrap();
+            let raced = run("test", &tags(scores.len()), threads, || (), scored(&scores)).unwrap();
             let w = raced.best.expect("an unbounded race has a winner");
             assert_eq!((w.index, w.score, w.value), (1, 4, 40), "threads {threads}");
             assert!(matches!(raced.ends[1].0, End::Completed(4, ())));
@@ -313,7 +307,7 @@ mod tests {
             }
             scored(&scores)(&mut (), i, probe)
         };
-        let raced = run("test", &tags(3), 2, None, || (), candidate).unwrap();
+        let raced = run("test", &tags(3), 2, || (), candidate).unwrap();
         match &raced.ends[1] {
             (End::Poisoned(msg), detail) => {
                 assert!(msg.contains("synthetic candidate blew up"));
@@ -354,24 +348,11 @@ mod tests {
                     }
                 }
             };
-        match run("test", &tags(5), 2, None, || (), candidate) {
+        match run("test", &tags(5), 2, || (), candidate) {
             Err(SchedError::UnknownOp(v)) => assert_eq!(v, OpId::from_index(0)),
             Err(e) => panic!("expected candidate 0's error, got {e:?}"),
             Ok(_) => panic!("expected candidate 0's error, got a result"),
         }
-    }
-
-    #[test]
-    fn a_pre_seeded_bound_makes_ties_lose() {
-        let scores = [3, 2, 3, 4];
-        let raced = run("test", &tags(4), 1, Some(3), || (), scored(&scores)).unwrap();
-        let w = raced.best.expect("score 2 beats the bound");
-        assert_eq!((w.index, w.score), (1, 2));
-        for i in [0, 2, 3] {
-            assert!(matches!(raced.ends[i].0, End::Pruned), "candidate {i}");
-        }
-        let raced = run("test", &tags(2), 2, Some(3), || (), scored(&[3, 3])).unwrap();
-        assert!(raced.best.is_none(), "a tie with the bound never wins");
     }
 
     #[test]
@@ -383,7 +364,7 @@ mod tests {
             calls[i].fetch_add(1, Ordering::Relaxed);
             scored(&scores)(&mut (), i, probe)
         };
-        let raced = run("test", &tags(n), 8, None, || (), candidate).unwrap();
+        let raced = run("test", &tags(n), 8, || (), candidate).unwrap();
         assert_eq!(raced.ends.len(), n);
         for (i, (_, detail)) in raced.ends.iter().enumerate() {
             assert_eq!(*detail, i, "reports line up with candidates");

@@ -15,7 +15,7 @@
 //! * the portfolio's own result respects its bound.
 
 use hls_ir::{generate, DelayModel, OpId, ResourceSet};
-use hls_search::{run_portfolio, PortfolioConfig, RefineConfig};
+use hls_search::{run_portfolio, PortfolioConfig};
 use proptest::prelude::*;
 use threaded_sched::meta::MetaSchedule;
 use threaded_sched::{ExhaustiveScheduler, ThreadedScheduler};
@@ -25,13 +25,6 @@ fn small_config() -> PortfolioConfig {
         threads: 2,
         random_seeds: vec![0xA11CE],
         topo_seeds: vec![0x7E40_0001],
-        refine: RefineConfig {
-            stall_rounds: 1,
-            max_rounds: 2,
-            candidates_per_round: 2,
-            slack_band: 0,
-            seed: 1,
-        },
     }
 }
 

@@ -1,11 +1,10 @@
-//! Parallel portfolio scheduling + feedback-guided refinement: race the
-//! paper's four meta schedules and seeded perturbations, then refine
-//! the winner's critical cone.
+//! Parallel portfolio scheduling: race the paper's four meta schedules
+//! and seeded perturbations, and keep the best.
 //!
 //! Run with: `cargo run --release --example portfolio`
 
 use soft_hls::ir::{bench_graphs, generate, Budget, ResourceSet};
-use soft_hls::search::{critical_cone, run_portfolio, PortfolioConfig};
+use soft_hls::search::{run_portfolio, PortfolioConfig};
 
 fn show(name: &str, g: &soft_hls::ir::PrecedenceGraph, resources: &ResourceSet) {
     let cfg = PortfolioConfig::default();
@@ -28,18 +27,8 @@ fn show(name: &str, g: &soft_hls::ir::PrecedenceGraph, resources: &ResourceSet) 
         }
     }
     println!(
-        "  winner: {} with {} states (pre-refinement {}, {} refinement round{})",
-        out.winner_name,
-        out.diameter,
-        out.initial_diameter,
-        out.refine_rounds,
-        if out.refine_rounds == 1 { "" } else { "s" },
-    );
-    let cone = critical_cone(&out.winner, 0);
-    println!(
-        "  critical cone: {} of {} ops drive the diameter\n",
-        cone.len(),
-        g.len()
+        "  winner: {} with {} states (certified lower bound {})\n",
+        out.winner_name, out.diameter, out.lower_bound,
     );
 }
 

@@ -15,10 +15,9 @@
 //! * [`alloc`] — lifetimes, left-edge registers, spilling, interconnect;
 //! * [`phys`] — floorplan, simulated-annealing placement, wire delays;
 //! * [`search`] — the parallel portfolio scheduler (meta schedules race
-//!   on OS threads behind an atomic incumbent) with feedback-guided
-//!   critical-cone refinement, plus the modulo portfolio that races
-//!   meta orders per candidate initiation interval for loop
-//!   pipelining;
+//!   on OS threads behind an atomic incumbent), plus the modulo
+//!   portfolio that races meta orders per candidate initiation
+//!   interval for loop pipelining;
 //! * [`flow`] — the end-to-end flow producing an FSMD and RTL skeleton;
 //! * [`serve`] — the scheduling daemon: bounded admission, per-request
 //!   deadlines and crash isolation, graceful drain, and a canonical
