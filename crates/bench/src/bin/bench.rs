@@ -340,8 +340,9 @@ fn modulo(quick: bool) -> Json {
 }
 
 /// BENCH_5: the open-loop load sweep and the schedule-cache study
-/// against an in-process daemon. The asserts are the overload
-/// contract: every request accounted for, typed shedding at 2×, a
+/// against an in-process daemon. The asserts are the calibration (0.5×
+/// the probed capacity sheds under 5%) and the overload contract:
+/// every request accounted for, typed shedding at 2×, a
 /// deadline-bounded p99 and ≥5× cache and ECO-replay speedups.
 fn serve(quick: bool) -> Json {
     let study = serve_load::run_load_study(quick);
@@ -359,6 +360,13 @@ fn serve(quick: bool) -> Json {
         );
         assert_eq!(p.errors, 0, "untyped failures at {:.1}x load", p.rate_mult);
     }
+    let under = &study.points[0];
+    assert!(
+        under.shed_rate() < 0.05,
+        "{:.2}x the probed capacity must sit below capacity (shed {:.1}%)",
+        under.rate_mult,
+        under.shed_rate() * 100.0
+    );
     let over = study
         .points
         .iter()
@@ -395,6 +403,7 @@ fn serve(quick: bool) -> Json {
             "errors": p.errors, "shed_rate": Json::fixed(p.shed_rate(), 4),
             "p50_us": p.p50_us, "p99_us": p.p99_us,
             "achieved_rps": Json::fixed(p.achieved_rps, 2),
+            "achieved_ratio": Json::fixed(p.achieved_ratio(), 4),
         }
     });
     obj! {
@@ -404,8 +413,8 @@ fn serve(quick: bool) -> Json {
             isolation) plus the content-hash schedule cache with ECO-delta replay",
         "workers": study.workers,
         "queue_capacity": study.queue_capacity,
-        "warmup_mean_us": study.warmup_mean_us,
-        "est_capacity_rps": Json::fixed(study.capacity_rps, 2),
+        "probe_mean_service_us": study.mean_service_us,
+        "probe_rps": Json::fixed(study.capacity_rps, 2),
         "deadline_ms": study.deadline_ms,
         "points": rows.collect::<Vec<_>>(),
         "cache": obj! {

@@ -23,7 +23,8 @@
 //!   and `commit` per-op cost, `ReachIndex` probe throughput, and the
 //!   word-parallel extremum kernels vs their scalar oracles;
 //! * [`serve_load`] — the daemon load study (BENCH_5): open-loop
-//!   throughput and p50/p99 at 0.5×/1×/2× estimated capacity,
+//!   throughput and p50/p99 from 0.5× to 2× the capacity a
+//!   closed-loop probe measured,
 //!   shed-rate under overload, and the schedule-cache hit/ECO-replay
 //!   speedups;
 //! * [`parallel`] — the partition-parallel scaling study (BENCH_6):

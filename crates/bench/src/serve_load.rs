@@ -1,14 +1,16 @@
 //! BENCH_5: the scheduler-as-a-service load study.
 //!
-//! Boots an in-process daemon, estimates its capacity from a
-//! sequential warmup, then drives an **open-loop** generator — send
-//! times are fixed by the offered rate, not by completions, so
-//! overload actually overloads — at 0.5×, 1× and 2× the estimated
-//! capacity. Reported per point: schedules/sec achieved, client-side
-//! p50/p99 latency of *completed* requests, and the shed rate. The
-//! overload point is the contract check: the daemon must shed with
-//! typed rejections while the requests it does accept keep a bounded
-//! p99 — not buffer without bound and time everything out.
+//! Boots an in-process daemon, measures its capacity with a
+//! closed-loop saturation probe (`workers` connections, each sending
+//! its next request as soon as the last one is answered), then drives
+//! an **open-loop** generator — send times are fixed by the offered
+//! rate, not by completions, so overload actually overloads — at
+//! multiples of that capacity from 0.5× to 2×. Reported per point:
+//! schedules/sec achieved and its ratio to the offered rate,
+//! client-side p50/p99 latency of *completed* requests, and the shed
+//! rate. The overload point is the contract check: the daemon must
+//! shed with typed rejections while the requests it does accept keep a
+//! bounded p99 — not buffer without bound and time everything out.
 //!
 //! A second study measures the schedule cache: server-side service
 //! time of a cold submission vs an exact resubmission (hit) vs an
@@ -22,10 +24,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Offered rates of the open-loop sweep, as multiples of the probed
+/// capacity.
+const RATE_MULTS: [f64; 5] = [0.5, 0.75, 1.0, 1.25, 2.0];
+
+/// Deadline of the cache study's requests: the cold flow must finish
+/// on the portfolio rung, or there is nothing to cache.
+const CACHE_STUDY_DEADLINE: Duration = Duration::from_secs(120);
+
 /// One offered-rate point of the open-loop sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadPoint {
-    /// Offered rate as a multiple of estimated capacity.
+    /// Offered rate as a multiple of the probed capacity.
     pub rate_mult: f64,
     /// Offered rate in requests/sec.
     pub offered_rps: f64,
@@ -57,6 +67,11 @@ impl LoadPoint {
         } else {
             self.shed as f64 / self.sent as f64
         }
+    }
+
+    /// Achieved over offered rate: 1 while the daemon keeps up.
+    pub fn achieved_ratio(&self) -> f64 {
+        self.achieved_rps / self.offered_rps
     }
 }
 
@@ -92,13 +107,14 @@ pub struct LoadStudy {
     pub workers: usize,
     /// Admission queue capacity.
     pub queue_capacity: usize,
-    /// Mean service time measured by the warmup, µs.
-    pub warmup_mean_us: u64,
-    /// Estimated capacity (workers / mean service time), req/s.
+    /// Mean server-side service time (`us=`) over the probe, µs.
+    pub mean_service_us: u64,
+    /// Capacity measured by the closed-loop probe: completions per
+    /// second with one connection per worker, req/s.
     pub capacity_rps: f64,
     /// Per-request deadline used by the sweep, ms.
     pub deadline_ms: u64,
-    /// The 0.5× / 1× / 2× points.
+    /// One point per multiple of the capacity, 0.5× to 2×.
     pub points: Vec<LoadPoint>,
     /// The cache study.
     pub cache: CacheStudy,
@@ -127,6 +143,9 @@ fn serve_config(workers: usize) -> ServeConfig {
         workers,
         queue_capacity: workers * 2,
         max_connections: 256,
+        // Room for the cache study's cold flow (~20 s at 1000 ops on
+        // a 2-vCPU Xeon); the sweep sets its own short deadline.
+        max_deadline: CACHE_STUDY_DEADLINE,
         ..ServeConfig::default()
     };
     // Workers are the parallelism; a portfolio fanning out to every
@@ -138,29 +157,44 @@ fn serve_config(workers: usize) -> ServeConfig {
     cfg
 }
 
-/// Sequential warmup: measures mean service time (server-reported)
-/// and primes code paths.
-fn estimate_capacity(addr: &BindAddr, texts: &[String], workers: usize) -> (u64, f64) {
-    let mut c = Client::connect(addr).expect("warmup connect");
-    let mut total_us = 0u64;
-    let mut n = 0u64;
-    for text in texts {
-        let a = c
-            .schedule(
-                text,
-                &RequestOpts {
-                    nocache: true,
-                    deadline: Some(Duration::from_secs(10)),
-                    ..RequestOpts::default()
-                },
-            )
-            .expect("warmup request");
-        total_us += a.micros.max(1);
-        n += 1;
-    }
-    let mean_us = (total_us / n.max(1)).max(1);
-    let capacity = workers as f64 / (mean_us as f64 / 1e6);
-    (mean_us, capacity)
+/// The closed-loop saturation probe: `workers` connections, each
+/// sending its next request the moment the last is answered, for
+/// `window`. A worker idles only while its answer travels back and
+/// the next request arrives, so completions per second is the
+/// daemon's capacity on this corpus, less that turnaround. Returns
+/// the mean server-side service time (µs) and that rate.
+fn probe_capacity(addr: &BindAddr, texts: &[String], workers: usize, window: Duration) -> (u64, f64) {
+    let opts = RequestOpts {
+        nocache: true,
+        deadline: Some(Duration::from_secs(10)),
+        ..RequestOpts::default()
+    };
+    let start = Instant::now();
+    let (done, total_us) = std::thread::scope(|scope| {
+        let conns: Vec<_> = (0..workers)
+            .map(|w| {
+                let opts = &opts;
+                scope.spawn(move || {
+                    let mut c = Client::connect(addr).expect("probe connect");
+                    let (mut n, mut us) = (0u64, 0u64);
+                    for text in texts.iter().cycle().skip(w) {
+                        if start.elapsed() >= window {
+                            break;
+                        }
+                        us += c.schedule(text, opts).expect("probe request").micros;
+                        n += 1;
+                    }
+                    (n, us)
+                })
+            })
+            .collect();
+        conns
+            .into_iter()
+            .map(|h| h.join().expect("probe connection"))
+            .fold((0, 0), |(n, us), (dn, dus)| (n + dn, us + dus))
+    });
+    let rate = done as f64 / start.elapsed().as_secs_f64();
+    ((total_us / done.max(1)).max(1), rate)
 }
 
 /// One open-loop point: `senders` client threads pull fire slots from
@@ -180,14 +214,17 @@ fn run_point(
     let [completed, shed, timeouts, errors] = &counts;
     let interval = Duration::from_secs_f64(1.0 / offered_rps);
     let senders = 32usize;
+    // One persistent connection per sender, opened before the clock
+    // starts so connection set-up is not part of the offered load; a
+    // send error reconnects (the server may have closed on us).
+    let conns: Vec<Option<Client>> = (0..senders).map(|_| Client::connect(addr).ok()).collect();
     let start = Instant::now();
 
     std::thread::scope(|scope| {
-        for _ in 0..senders {
-            scope.spawn(|| {
-                // One persistent connection per sender; a send error
-                // reconnects (the server may have closed on us).
-                let mut conn: Option<Client> = None;
+        for mut conn in conns {
+            let (next, latencies, completed, shed, timeouts, errors) =
+                (&next, &latencies, completed, shed, timeouts, errors);
+            scope.spawn(move || {
                 loop {
                     let slot = next.fetch_add(1, Ordering::Relaxed);
                     if slot >= total {
@@ -267,7 +304,7 @@ fn cache_study(addr: &BindAddr, quick: bool) -> CacheStudy {
     let base_hash = canon::graph_hash(&base);
     let text = textfmt::to_text(&base);
     let slow = RequestOpts {
-        deadline: Some(Duration::from_secs(30)),
+        deadline: Some(CACHE_STUDY_DEADLINE),
         ..RequestOpts::default()
     };
 
@@ -276,7 +313,14 @@ fn cache_study(addr: &BindAddr, quick: bool) -> CacheStudy {
     assert_eq!(cold.cache, CacheStatus::Miss, "first submission must miss");
 
     let hit = c.schedule(&text, &slow).expect("resubmission");
-    assert_eq!(hit.cache, CacheStatus::Hit, "resubmission must hit");
+    assert_eq!(
+        hit.cache,
+        CacheStatus::Hit,
+        "resubmission must hit (the cold answer: rung {}, states {:?}, {} ms)",
+        cold.rung,
+        cold.states,
+        cold.micros / 1000
+    );
 
     // The ECO: a few late ops hung off existing results.
     let mut eco = base.clone();
@@ -322,14 +366,15 @@ pub fn run_load_study(quick: bool) -> LoadStudy {
     let addr = server.addr().clone();
 
     let texts = corpus(if quick { 12 } else { 48 });
-    let (warmup_mean_us, capacity_rps) = estimate_capacity(&addr, &texts, workers);
+    let probe_window = Duration::from_secs_f64(if quick { 1.0 } else { 3.0 });
+    let (mean_service_us, capacity_rps) = probe_capacity(&addr, &texts, workers, probe_window);
 
     // The deadline bounds tail latency: generous next to the mean
     // service time, small next to the sweep duration.
-    let deadline = Duration::from_micros((warmup_mean_us * 20).clamp(200_000, 5_000_000));
+    let deadline = Duration::from_micros((mean_service_us * 20).clamp(200_000, 5_000_000));
     let window_s = if quick { 2.0 } else { 8.0 };
 
-    let points = [0.5, 1.0, 2.0]
+    let points = RATE_MULTS
         .into_iter()
         .map(|mult| {
             let offered = (capacity_rps * mult).max(1.0);
@@ -344,7 +389,7 @@ pub fn run_load_study(quick: bool) -> LoadStudy {
     LoadStudy {
         workers,
         queue_capacity,
-        warmup_mean_us,
+        mean_service_us,
         capacity_rps,
         deadline_ms: deadline.as_millis() as u64,
         points,
@@ -356,7 +401,7 @@ pub fn run_load_study(quick: bool) -> LoadStudy {
 pub fn load_report(study: &LoadStudy) -> String {
     let header: Vec<String> = [
         "rate", "offered/s", "sent", "ok", "shed", "timeout", "err", "p50 ms", "p99 ms",
-        "achieved/s",
+        "achieved/s", "achieved/offered",
     ]
     .iter()
     .map(|s| (*s).to_string())
@@ -366,7 +411,7 @@ pub fn load_report(study: &LoadStudy) -> String {
         .iter()
         .map(|p| {
             vec![
-                format!("{:.1}x", p.rate_mult),
+                format!("{:.2}x", p.rate_mult),
                 format!("{:.1}", p.offered_rps),
                 p.sent.to_string(),
                 p.completed.to_string(),
@@ -376,10 +421,17 @@ pub fn load_report(study: &LoadStudy) -> String {
                 format!("{:.2}", p.p50_us as f64 / 1000.0),
                 format!("{:.2}", p.p99_us as f64 / 1000.0),
                 format!("{:.1}", p.achieved_rps),
+                format!("{:.3}", p.achieved_ratio()),
             ]
         })
         .collect();
-    let mut out = crate::render_table(&header, &rows);
+    let mut out = format!(
+        "probe: {} connections closed-loop, {:.1} req/s, mean service {:.2} ms\n",
+        study.workers,
+        study.capacity_rps,
+        study.mean_service_us as f64 / 1000.0,
+    );
+    out.push_str(&crate::render_table(&header, &rows));
     out.push_str(&format!(
         "\ncache study ({} ops): cold {:.1} ms, hit {:.3} ms ({:.0}x), eco replay {:.1} ms ({:.1}x)\n",
         study.cache.ops,

@@ -44,7 +44,7 @@ use hls_ir::schedule::ModuloSchedule;
 use hls_ir::{OpId, PrecedenceGraph, ResourceClass, ResourceSet};
 
 /// Multiplier on `|V|` for the eviction budget of one II attempt.
-const BUDGET_FACTOR: usize = 12;
+const BUDGET_FACTOR: u64 = 12;
 
 /// The result of a successful [`ModuloScheduler::schedule`] run.
 #[derive(Clone, Debug)]
@@ -146,6 +146,28 @@ impl ModuloScheduler {
     /// so a greedy placement always succeeds earlier.
     pub fn max_ii(&self) -> u64 {
         self.mii() + self.g.total_delay() + 1
+    }
+
+    /// Most placements one [`schedule_at`](ModuloScheduler::schedule_at)
+    /// attempt makes before it gives the II up (the eviction budget).
+    fn placement_budget(&self) -> u64 {
+        (self.g.len() as u64).saturating_mul(BUDGET_FACTOR).max(64)
+    }
+
+    /// A sound upper bound on the latency of any schedule
+    /// [`schedule_at`](ModuloScheduler::schedule_at) returns at an II
+    /// of at most `ii`; `None` when it overflows `u64`. Each placement
+    /// starts at most the largest delay plus `ii` after the latest
+    /// start before it (a placed predecessor's finish, then one II
+    /// window of scan; a forced placement advances by one step), and
+    /// an attempt makes at most its eviction budget of placements.
+    /// Loose by design: it exists to refuse kernels whose latency
+    /// could outgrow a packed score before any placement runs.
+    pub fn latency_bound(&self, ii: u64) -> Option<u64> {
+        let max_delay = self.g.op_ids().map(|v| self.g.delay(v)).max().unwrap_or(0);
+        self.placement_budget()
+            .checked_mul(max_delay.checked_add(ii)?)?
+            .checked_add(max_delay)
     }
 
     /// Attempts one candidate `ii` under a cooperative
@@ -283,7 +305,7 @@ impl ModuloScheduler {
         let mut prev_start: Vec<Option<u64>> = vec![None; n];
         let mut unplaced: Vec<bool> = vec![true; n];
         let mut remaining = n;
-        let mut budget = n.saturating_mul(BUDGET_FACTOR).max(64);
+        let mut budget = self.placement_budget();
 
         while remaining > 0 {
             if budget == 0 {

@@ -62,11 +62,13 @@ pub enum Phase {
     EcoGraft = 15,
     /// Daemon lifecycle (boot, drain, shutdown).
     ServeLifecycle = 16,
+    /// Writing one response line to its client (write + flush).
+    ServeRespond = 17,
 }
 
 impl Phase {
     /// Every phase, for exporters.
-    pub const ALL: [Phase; 17] = [
+    pub const ALL: [Phase; 18] = [
         Phase::FlowSchedule,
         Phase::FlowSpill,
         Phase::FlowPhi,
@@ -84,6 +86,7 @@ impl Phase {
         Phase::ServeRequest,
         Phase::EcoGraft,
         Phase::ServeLifecycle,
+        Phase::ServeRespond,
     ];
 
     /// Stable name, used in the Chrome trace and the smoke checks.
@@ -106,6 +109,7 @@ impl Phase {
             Phase::ServeRequest => "serve:request",
             Phase::EcoGraft => "serve:eco-graft",
             Phase::ServeLifecycle => "serve:lifecycle",
+            Phase::ServeRespond => "serve:respond",
         }
     }
 
@@ -124,7 +128,10 @@ impl Phase {
             | Phase::ParallelStitch
             | Phase::ParallelMaterialize => "parallel",
             Phase::DegradeRung => "degrade",
-            Phase::ServeRequest | Phase::EcoGraft | Phase::ServeLifecycle => "serve",
+            Phase::ServeRequest
+            | Phase::EcoGraft
+            | Phase::ServeLifecycle
+            | Phase::ServeRespond => "serve",
         }
     }
 

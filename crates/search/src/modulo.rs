@@ -33,10 +33,19 @@ const WHAT: &str = "modulo candidate";
 /// Bits of a candidate's score holding the single-iteration latency.
 const LAT_BITS: u32 = 32;
 
-/// A candidate's race score: `(ii, latency)` ordered lexicographically.
-fn score(ii: u64, latency: u64) -> u64 {
-    debug_assert!(latency < 1 << LAT_BITS, "latency overflows the score");
-    (ii << LAT_BITS) | latency
+/// A candidate's race score: `(ii, latency)` ordered lexicographically,
+/// or `None` when the pair does not fit the race's packed incumbent
+/// (II below 2¹⁶, latency below 2³²).
+fn score(ii: u64, latency: u64) -> Option<u64> {
+    (ii < race::SCORE_LIMIT >> LAT_BITS && latency < 1 << LAT_BITS)
+        .then_some((ii << LAT_BITS) | latency)
+}
+
+/// The error for a candidate whose score cannot be packed.
+fn unpackable(what: &str) -> SchedError {
+    SchedError::ResourceExhausted(format!(
+        "{what} past the modulo race's score range (II < 2^16, latency < 2^32)"
+    ))
 }
 
 /// Configuration of [`run_modulo_portfolio`].
@@ -127,7 +136,10 @@ pub struct ModuloPortfolioOutcome {
 /// # Errors
 ///
 /// Propagates [`SchedError`] from kernel validation (distance-0
-/// cycle), missing unit classes, or meta-order construction. When no
+/// cycle), missing unit classes, or meta-order construction. Returns
+/// [`SchedError::ResourceExhausted`] when the window's top II reaches
+/// 2¹⁶ or [`ModuloScheduler::latency_bound`] there reaches 2³²: the
+/// race packs `(II, latency)` into 48 bits. When no
 /// candidate completes, returns [`SchedError::Timeout`] if any run hit
 /// `budget`, or [`SchedError::Poisoned`] naming the dead candidates
 /// when every non-pruned run panicked — budget exhaustion and panics
@@ -146,6 +158,16 @@ pub fn run_modulo_portfolio(
 ) -> Result<ModuloPortfolioOutcome, SchedError> {
     let sched = ModuloScheduler::new(g.clone(), resources.clone())?;
     let mii = sched.mii();
+    // Refuse a window the packed score cannot hold before any
+    // placement allocates a reservation table of the window's size.
+    // The latency bound grows with the II, so checking the top one
+    // covers the window.
+    let top = mii.saturating_add(cfg.ii_span);
+    if sched.latency_bound(top).and_then(|lat| score(top, lat)).is_none() {
+        return Err(unpackable(&format!(
+            "II window {mii}..={top} or its latency bound"
+        )));
+    }
     let kernel = g.kernel_dag();
     // Resolve orders once: the same order is reused at every II. The
     // scheduler's height priority leads, then the paper metas and the
@@ -178,7 +200,8 @@ pub fn run_modulo_portfolio(
         |_, index, probe| {
             let (ii, oi) = candidates[index];
             // Prune: even a latency-0 completion at this II loses.
-            if probe.loses(score(ii, 0)) {
+            let floor = score(ii, 0).ok_or_else(|| unpackable(&format!("II {ii}")))?;
+            if probe.loses(floor) {
                 return Ok((End::Pruned, None));
             }
             hls_obs::obs_count!(ModuloCandidates);
@@ -186,7 +209,9 @@ pub fn run_modulo_portfolio(
             Ok(match sched.schedule_at(ii, orders[oi].1.as_deref(), budget) {
                 Ok(ms) => {
                     let latency = ms.latency(g);
-                    (End::Completed(score(ii, latency), ms), Some(latency))
+                    let s = score(ii, latency)
+                        .ok_or_else(|| unpackable(&format!("latency {latency} at II {ii}")))?;
+                    (End::Completed(s, ms), Some(latency))
                 }
                 Err(SchedError::Timeout) => (End::TimedOut, None),
                 Err(SchedError::Poisoned(msg)) => (End::Poisoned(msg), None),
@@ -258,7 +283,7 @@ pub fn run_modulo_portfolio(
 mod tests {
     use super::*;
     use hls_ir::schedule::check_modulo;
-    use hls_ir::{bench_graphs, Budget, ResourceClass};
+    use hls_ir::{bench_graphs, Budget, OpKind, ResourceClass};
 
     fn mem_classic(alus: usize, muls: usize) -> ResourceSet {
         ResourceSet::classic(alus, muls).with(ResourceClass::MemPort, 1)
@@ -331,5 +356,43 @@ mod tests {
                 assert_eq!(check_modulo(&g, &r, &out.schedule), Ok(()));
             }
         }
+    }
+
+    /// One multiply `delay` steps long: its ResMII is `delay`.
+    fn one_long_multiply(delay: u64) -> PrecedenceGraph {
+        let mut g = PrecedenceGraph::new();
+        g.add_op(OpKind::Mul, delay, "m");
+        g
+    }
+
+    #[test]
+    fn scores_past_the_packing_are_resource_exhausted() {
+        let r = mem_classic(1, 1);
+        // A wire delay past 2^32: every completion's latency is too.
+        let mut deep = PrecedenceGraph::new();
+        let a = deep.add_op(OpKind::Add, 1, "a");
+        let w = deep.add_op(OpKind::WireDelay, 1 << 33, "w");
+        let b = deep.add_op(OpKind::Add, 1, "b");
+        deep.add_dep_edge(a, w, 0).unwrap();
+        deep.add_dep_edge(w, b, 0).unwrap();
+        // MII 2^16, the first II the score cannot hold; refused before
+        // any placement builds a 2^16-slot reservation table.
+        for g in [one_long_multiply(1 << 16), deep] {
+            for threads in [1, 2] {
+                let cfg = PipelineConfig {
+                    threads,
+                    ..PipelineConfig::default()
+                };
+                match run_modulo_portfolio(&g, &r, &cfg, &Budget::NONE) {
+                    Err(SchedError::ResourceExhausted(_)) => {}
+                    other => panic!("expected ResourceExhausted, got {other:?}"),
+                }
+            }
+        }
+        // The widest window that still packs: its top II is 2^16 - 1.
+        let cfg = PipelineConfig::default();
+        let mii = (1 << 16) - 1 - cfg.ii_span;
+        let out = run_modulo_portfolio(&one_long_multiply(mii), &r, &cfg, &Budget::NONE).unwrap();
+        assert_eq!((out.ii, out.latency), (mii, mii));
     }
 }

@@ -13,7 +13,7 @@ use crate::protocol::{
 };
 use crate::server::{BindAddr, Stream};
 use std::io::{self, BufRead, BufReader, Write};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-request knobs.
 #[derive(Clone, Debug, Default)]
@@ -121,11 +121,30 @@ impl RetryPolicy {
     }
 }
 
+/// One answered exchange, as the client saw it. The difference of the
+/// two times is what the request spent outside the server's service:
+/// queue wait plus transport.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Exchange {
+    /// Client wall time from sending the request to reading its answer
+    /// line, µs.
+    pub round_trip_us: u64,
+    /// The server's service time for it (`us=` on the `OK` line), µs.
+    pub service_us: u64,
+}
+
+/// Sends one message, header and body in one write, and flushes it.
+fn send(w: &mut impl Write, header: &str, body: &[u8]) -> io::Result<()> {
+    w.write_all(&protocol::encode_message(header, body))?;
+    w.flush()
+}
+
 /// A connected client. One in-flight request at a time.
 pub struct Client {
     writer: Stream,
     reader: BufReader<Stream>,
     next_id: u64,
+    last: Option<Exchange>,
 }
 
 impl Client {
@@ -144,6 +163,7 @@ impl Client {
             writer,
             reader: BufReader::new(stream),
             next_id: 1,
+            last: None,
         })
     }
 
@@ -154,6 +174,7 @@ impl Client {
     /// [`ClientError`] — typed rejections come back as
     /// [`ClientError::Rejected`] with the server's retry verdict.
     pub fn schedule(&mut self, text: &str, opts: &RequestOpts) -> Result<Accepted, ClientError> {
+        self.last = None;
         let id = self.next_id;
         self.next_id += 1;
         let req = Request {
@@ -165,30 +186,26 @@ impl Client {
             nocache: opts.nocache,
         };
         let header = protocol::format_request_header(&req);
-        self.writer.write_all(header.as_bytes())?;
-        self.writer.write_all(text.as_bytes())?;
-        self.writer.flush()?;
+        let (a, round_trip) = self.exchange(id, &header, text.as_bytes(), |resp| match resp {
+            Response::Accepted(a) => Some(Ok(a)),
+            Response::Rejected(r) => Some(Err(ClientError::Rejected(r))),
+            // A stray STATS reply belongs to no scheduling exchange;
+            // keep waiting for our answer.
+            Response::Stats(_) => None,
+        })?;
+        self.last = Some(Exchange {
+            round_trip_us: round_trip.as_micros() as u64,
+            service_us: a.micros,
+        });
+        Ok(a)
+    }
 
-        loop {
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
-                return Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into()));
-            }
-            let resp = protocol::parse_response(&line).map_err(ClientError::Protocol)?;
-            // Answers for ids this client no longer waits on (e.g.
-            // from an abandoned earlier exchange) are skipped.
-            if resp.id() != id && resp.id() != 0 {
-                continue;
-            }
-            return match resp {
-                Response::Accepted(a) => Ok(a),
-                Response::Rejected(r) => Err(ClientError::Rejected(r)),
-                // A stray STATS reply belongs to no scheduling
-                // exchange; keep waiting for our answer.
-                Response::Stats(_) => continue,
-            };
-        }
+    /// The round trip and service time of the last [`schedule`]
+    /// call, if it was answered `OK`.
+    ///
+    /// [`schedule`]: Client::schedule
+    pub fn last_exchange(&self) -> Option<Exchange> {
+        self.last
     }
 
     /// Queries the daemon's live metrics snapshot (`STATS` verb) and
@@ -204,8 +221,27 @@ impl Client {
         let id = self.next_id;
         self.next_id += 1;
         let header = protocol::format_stats_header(id);
-        self.writer.write_all(header.as_bytes())?;
-        self.writer.flush()?;
+        let (json, _) = self.exchange(id, &header, &[], |resp| match resp {
+            Response::Stats(s) => Some(Ok(s.json)),
+            Response::Rejected(r) => Some(Err(ClientError::Rejected(r))),
+            Response::Accepted(_) => None,
+        })?;
+        Ok(json)
+    }
+
+    /// Sends one message and reads lines until `answer` accepts one
+    /// for `id`, returning it with the round trip. Answers for ids
+    /// this client no longer waits on (e.g. from an abandoned earlier
+    /// exchange) are skipped; id 0 is a connection-level rejection.
+    fn exchange<T>(
+        &mut self,
+        id: u64,
+        header: &str,
+        body: &[u8],
+        answer: impl Fn(Response) -> Option<Result<T, ClientError>>,
+    ) -> Result<(T, Duration), ClientError> {
+        let sent = Instant::now();
+        send(&mut self.writer, header, body)?;
         loop {
             let mut line = String::new();
             let n = self.reader.read_line(&mut line)?;
@@ -216,11 +252,9 @@ impl Client {
             if resp.id() != id && resp.id() != 0 {
                 continue;
             }
-            return match resp {
-                Response::Stats(s) => Ok(s.json),
-                Response::Rejected(r) => Err(ClientError::Rejected(r)),
-                Response::Accepted(_) => continue,
-            };
+            if let Some(outcome) = answer(resp) {
+                return outcome.map(|t| (t, sent.elapsed()));
+            }
         }
     }
 
@@ -281,6 +315,48 @@ mod tests {
         // Different seeds de-synchronize.
         let q = RetryPolicy { seed: 8, ..p };
         assert_ne!(p.backoff(1), q.backoff(1));
+    }
+
+    /// A `Write` that counts its `write` calls.
+    #[derive(Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_leaves_in_one_write_and_round_trips() {
+        let body = hls_ir::textfmt::to_text(&hls_ir::bench_graphs::hal());
+        let req = Request {
+            id: 7,
+            bytes: body.len(),
+            deadline_ms: Some(250),
+            steps: Some(1_000),
+            base: Some(0xfeed_beef),
+            nocache: true,
+        };
+        let mut w = Counting::default();
+        send(&mut w, &protocol::format_request_header(&req), body.as_bytes()).unwrap();
+        assert_eq!(w.writes, 1, "header and body must leave in one write");
+
+        let split = w.bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let header = std::str::from_utf8(&w.bytes[..split]).unwrap();
+        let parsed = protocol::parse_request_header(header).unwrap();
+        assert_eq!(parsed, req);
+        assert_eq!(&w.bytes[split..], body.as_bytes());
+        assert_eq!(w.bytes.len() - split, parsed.bytes);
     }
 
     #[test]

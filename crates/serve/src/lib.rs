@@ -41,7 +41,7 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheStats, ScheduleCache};
-pub use client::{Client, ClientError, RequestOpts, RetryPolicy};
+pub use client::{Client, ClientError, Exchange, RequestOpts, RetryPolicy};
 pub use protocol::{
     Accepted, CacheStatus, ProtoError, Rejected, RejectKind, Request, Response,
 };

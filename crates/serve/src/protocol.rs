@@ -217,6 +217,16 @@ impl Response {
         }
     }
 
+    /// The server-assigned trace id (0 for stats replies, which carry
+    /// none).
+    pub fn trace(&self) -> u64 {
+        match self {
+            Response::Accepted(a) => a.trace,
+            Response::Rejected(r) => r.trace,
+            Response::Stats(_) => 0,
+        }
+    }
+
     /// Stamps the server-assigned trace id onto an answer or
     /// rejection (no-op for stats replies, which carry no trace).
     pub fn set_trace(&mut self, trace: u64) {
@@ -352,6 +362,17 @@ pub fn parse_stats_header(line: &str) -> Result<u64, ProtoError> {
         }
     }
     id.ok_or_else(|| err("STATS line missing id"))
+}
+
+/// Frames one client message — a header line from
+/// [`format_request_header`] or [`format_stats_header`], then its body
+/// (empty for `STATS`) — as one buffer, so the transport sends it in
+/// one write.
+pub fn encode_message(header: &str, body: &[u8]) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(header.len() + body.len());
+    msg.extend_from_slice(header.as_bytes());
+    msg.extend_from_slice(body);
+    msg
 }
 
 /// Strips newlines out of a message so it cannot break line framing.

@@ -142,3 +142,59 @@ fn shutdown_snapshot_equals_the_last_stats_body_at_rest() {
     assert_eq!(fin.counter("serve_eco_hits"), 1);
     assert_eq!(fin.counter("cache_hits"), 1);
 }
+
+/// Serves `n` requests over `addr`, waits for the server to come to
+/// rest, then checks that every answer's write was timed once.
+fn every_answer_is_timed_once(addr: &BindAddr, n: u64) {
+    let server = Server::start(addr, ServeConfig::default()).expect("bind");
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let graphs = [bench_graphs::hal(), bench_graphs::ewf(), bench_graphs::ar()];
+    for i in 0..n {
+        let text = textfmt::to_text(&graphs[i as usize % graphs.len()]);
+        let a = c.schedule(&text, &RequestOpts::default()).expect("schedule");
+        let x = c.last_exchange().expect("an OK answer records its exchange");
+        assert_eq!(x.service_us, a.micros);
+        assert!(x.round_trip_us >= x.service_us, "{x:?}");
+    }
+    // The worker times its write after the client already has the
+    // line; `pending` reaches 0 only once that sample is in.
+    while server.pending() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let body = c.stats().expect("stats");
+    assert_eq!(counter(&body, "serve_completed"), n);
+    assert_eq!(counter(&body, "serve_admitted"), n);
+    assert_eq!(hist_count(&body, "serve_respond_us"), n);
+
+    let fin = server.shutdown(Duration::from_secs(5));
+    let respond = fin.hist("serve_respond_us").expect("serve_respond_us");
+    assert_eq!(respond.count, fin.counter("serve_completed"));
+}
+
+#[test]
+fn respond_time_is_recorded_once_per_answer_over_tcp() {
+    every_answer_is_timed_once(&BindAddr::Tcp("127.0.0.1:0".into()), 7);
+}
+
+#[cfg(unix)]
+#[test]
+fn respond_time_is_recorded_once_per_answer_over_a_unix_socket() {
+    let path = std::env::temp_dir().join(format!(
+        "hls-serve-respond-{}.sock",
+        std::process::id()
+    ));
+    every_answer_is_timed_once(&BindAddr::Unix(path), 7);
+}
+
+#[test]
+fn a_rejected_request_leaves_no_exchange() {
+    let server = start(ServeConfig::default());
+    let mut c = Client::connect(server.addr()).expect("connect");
+    c.schedule(&textfmt::to_text(&bench_graphs::hal()), &RequestOpts::default())
+        .expect("schedule");
+    assert!(c.last_exchange().is_some());
+    c.schedule("not a graph", &RequestOpts::default())
+        .expect_err("malformed body");
+    assert_eq!(c.last_exchange(), None);
+    server.shutdown(Duration::from_secs(5));
+}

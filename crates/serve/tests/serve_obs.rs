@@ -1,7 +1,8 @@
 //! The observability plane over a live daemon: `STATS` round-trips
 //! (including while draining), snapshot consistency under concurrent
-//! scheduling load, trace ids on answers, and the crash flight
-//! recorder capturing an injected panic's post-mortem.
+//! scheduling load, trace ids on answers and their `serve:respond`
+//! spans, and the crash flight recorder capturing an injected panic's
+//! post-mortem.
 //!
 //! The recorder and metrics registry are process-global, so every
 //! test here serializes through one mutex and restores the master
@@ -9,6 +10,7 @@
 
 use hls_ir::faultinject::{arm, FaultPlan};
 use hls_ir::{bench_graphs, textfmt};
+use hls_obs::recorder::{EventKind, Phase};
 use hls_serve::{BindAddr, Client, RequestOpts, ServeConfig, Server};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -154,6 +156,29 @@ fn stats_snapshots_stay_consistent_under_concurrent_load() {
         answered,
         "every request resolved exactly once"
     );
+    server.shutdown(Duration::from_secs(10));
+}
+
+#[test]
+fn the_answer_write_is_a_serve_respond_span() {
+    let _s = serial();
+    let _rec = Recording::start();
+    let server = start(ServeConfig::default());
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let a = c
+        .schedule(&textfmt::to_text(&bench_graphs::hal()), &RequestOpts::default())
+        .expect("schedule");
+    // The span closes after the client already has its line.
+    while server.pending() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let respond = hls_obs::recorder::snapshot_events()
+        .into_iter()
+        .filter(|e| {
+            e.kind == EventKind::Span && e.phase == Phase::ServeRespond && e.arg == a.trace
+        })
+        .count();
+    assert_eq!(respond, 1, "one serve:respond span carries the answer's trace id");
     server.shutdown(Duration::from_secs(10));
 }
 
