@@ -22,8 +22,11 @@
 //! the frozen [`crate::ReferenceScheduler`] seed it differs only in
 //! *how* the same state is computed:
 //!
-//! * node storage is structure-of-arrays (`inc[n·stride + j]`) instead
-//!   of per-node heap vectors;
+//! * node storage is structure-of-arrays (`inc[n·K + j]`, one column
+//!   per functional unit) instead of per-node heap vectors; a wire op
+//!   is the only member of a thread of its own, so it takes no column:
+//!   the state edges touching it live in an ordered side set (see
+//!   [`Edges`]);
 //! * chain positions are *gap numbered* (spacing `2³²`, midpoint
 //!   insertion), so renumbering is amortized `O(1)` instead of a full
 //!   chain walk per commit;
@@ -53,11 +56,101 @@ use hls_ir::{
     ResourceClass, ResourceSet,
 };
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Missing-edge / missing-node sentinel in the flat edge and reach
 /// tables.
 const NONE: u32 = u32::MAX;
+
+/// Edge direction: successors.
+const OUT: usize = 0;
+/// Edge direction: predecessors.
+const IN: usize = 1;
+
+/// The edges of the threaded graph. Per direction, a node keeps its
+/// neighbours in the unit threads in a `k`-wide row —
+/// `rows[OUT][n·k + j]` is its successor in thread `j`, at most one per
+/// thread (Lemma 7), [`NONE`] when absent. A wire op is the only member
+/// of its thread, so its edges take no column: each is one
+/// `(node, wire neighbour)` entry of an ordered side set, where a
+/// node's entries form one range. A node without wire neighbours pays
+/// nothing for them, and the rows never widen as wire ops are absorbed.
+#[derive(Clone, Debug, Default)]
+struct Edges {
+    /// Row width: the number of functional units.
+    k: usize,
+    rows: [Vec<u32>; 2],
+    side: [BTreeSet<(u32, u32)>; 2],
+}
+
+impl Edges {
+    fn push_node(&mut self) {
+        for row in &mut self.rows {
+            row.extend(std::iter::repeat_n(NONE, self.k));
+        }
+    }
+
+    /// `n`'s `dir` neighbour in unit thread `j`, or [`NONE`].
+    fn at(&self, n: u32, dir: usize, j: usize) -> u32 {
+        self.rows[dir][n as usize * self.k + j]
+    }
+
+    /// Every neighbour of `n` in direction `dir`: the row entries, then
+    /// the side entries.
+    fn walk(&self, n: u32, dir: usize) -> Walk<'_> {
+        let row = n as usize * self.k;
+        let side = &self.side[dir];
+        Walk {
+            row: self.rows[dir][row..row + self.k].iter(),
+            // A state without wire edges skips the range lookup.
+            side: (!side.is_empty()).then(|| side.range((n, 0)..=(n, NONE))),
+        }
+    }
+
+    /// Records the edge `a → b`; `ta`/`tb` are the endpoints' threads.
+    fn link(&mut self, a: u32, ta: usize, b: u32, tb: usize) {
+        self.set(a, OUT, b, tb, true);
+        self.set(b, IN, a, ta, true);
+    }
+
+    /// Drops the edge `a → b`; `ta`/`tb` are the endpoints' threads.
+    fn unlink(&mut self, a: u32, ta: usize, b: u32, tb: usize) {
+        self.set(a, OUT, b, tb, false);
+        self.set(b, IN, a, ta, false);
+    }
+
+    /// Enters (`on`) or removes `m`, of thread `t`, as a `dir`
+    /// neighbour of `n`.
+    fn set(&mut self, n: u32, dir: usize, m: u32, t: usize, on: bool) {
+        if t < self.k {
+            let slot = &mut self.rows[dir][n as usize * self.k + t];
+            debug_assert!(on || *slot == m, "dropped edge must be recorded");
+            *slot = if on { m } else { NONE };
+        } else if on {
+            self.side[dir].insert((n, m));
+        } else {
+            assert!(self.side[dir].remove(&(n, m)), "dropped edge must be recorded");
+        }
+    }
+}
+
+/// Iterator of [`Edges::walk`].
+struct Walk<'a> {
+    row: std::slice::Iter<'a, u32>,
+    side: Option<std::collections::btree_set::Range<'a, (u32, u32)>>,
+}
+
+impl Iterator for Walk<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if let Some(&m) = self.row.by_ref().find(|&&m| m != NONE) {
+            return Some(m);
+        }
+        self.side.as_mut()?.next().map(|&(_, m)| m)
+    }
+}
 
 /// The immutable graph-side state of a scheduler: the behavior graph,
 /// the chain-cover reachability index over it, and its static sink
@@ -238,27 +331,25 @@ pub struct ThreadedScheduler {
     /// `feasible_placements`) repair on demand; they must not be
     /// re-entered from the placement callback.
     n_tdist: RefCell<TdistLazy>,
-    /// Flat edge tables: `inc[n·stride + j]` is the node in thread `j`
-    /// with an edge into `n` (or [`NONE`]).
-    inc: Vec<u32>,
-    out: Vec<u32>,
-    /// Reach vectors: `reach_b[n·stride + j]` is the latest (max `pos`)
-    /// thread-`j` state-ancestor of `n`; `reach_f` the earliest
-    /// state-descendant. [`NONE`] when the thread holds no such node.
+    /// The state edges: `K`-wide unit rows plus the wire side sets.
+    edges: Edges,
+    /// Reach vectors over the unit threads: `reach_b[n·K + j]` is the
+    /// latest (max `pos`) thread-`j` state-ancestor of `n`; `reach_f`
+    /// the earliest state-descendant. [`NONE`] when the thread holds
+    /// no such node.
     reach_b: Vec<u32>,
     reach_f: Vec<u32>,
-    /// Row width of the flat tables; `>= threads`, grown by doubling
-    /// when wire threads are pushed.
-    stride: usize,
-    /// Per thread: source/sink sentinel node indices.
+    /// Per unit thread: source/sink sentinel node indices. Wire
+    /// threads have no chain, hence no sentinels.
     sent_s: Vec<u32>,
     sent_t: Vec<u32>,
+    /// Per wire thread, in scheduling order: its one node. Wire thread
+    /// `i` is thread `K + i` of the public numbering.
+    wire_nodes: Vec<u32>,
     /// Per op: its node, if scheduled.
     node_of: Vec<Option<u32>>,
     /// Per node: its op (`None` for sentinels).
     op_of: Vec<Option<OpId>>,
-    /// Number of threads (resource units plus wire singleton threads).
-    threads: usize,
     /// Set when a commit panicked mid-update (e.g. under fault
     /// injection): the state may violate its invariants, so every
     /// subsequent scheduling call short-circuits to
@@ -296,22 +387,25 @@ impl ThreadedScheduler {
             n_thread: Vec::with_capacity(2 * k),
             nh: Vec::new(),
             n_tdist: RefCell::new(TdistLazy::default()),
-            inc: Vec::new(),
-            out: Vec::new(),
+            edges: Edges { k, ..Edges::default() },
             reach_b: Vec::new(),
             reach_f: Vec::new(),
-            stride: k.max(1),
             sent_s: Vec::with_capacity(k),
             sent_t: Vec::with_capacity(k),
+            wire_nodes: Vec::new(),
             op_of: Vec::new(),
-            threads: 0,
             poisoned: None,
             total_delay: 0,
             history: Vec::new(),
             scratch: RefCell::new(Scratch::default()),
         };
-        for _ in 0..k {
-            ts.push_thread();
+        for j in 0..k {
+            let s_node = ts.alloc_raw_node(j, 0);
+            let t_node = ts.alloc_raw_node(j, 0);
+            ts.edges.link(s_node, j, t_node, j);
+            ts.nh[t_node as usize].pos = GAP;
+            ts.sent_s.push(s_node);
+            ts.sent_t.push(t_node);
         }
         ts.res_floor = ts.resources.work_floor(&ts.core.g);
         Ok(ts)
@@ -328,9 +422,10 @@ impl ThreadedScheduler {
         &self.resources
     }
 
-    /// Current number of threads, including wire singleton threads.
+    /// Current number of threads: one per functional unit, then one
+    /// per scheduled wire-class op.
     pub fn thread_count(&self) -> usize {
-        self.threads
+        self.resources.k() + self.wire_nodes.len()
     }
 
     /// `true` if `v` is already in the scheduling state.
@@ -363,14 +458,15 @@ impl ThreadedScheduler {
     ///
     /// Panics if `k >= self.thread_count()`.
     pub fn chain(&self, k: usize) -> Vec<OpId> {
+        if let Some(i) = k.checked_sub(self.resources.k()) {
+            let n = self.wire_nodes[i];
+            return vec![self.op_of[n as usize].expect("wire nodes are real ops")];
+        }
         let mut out = Vec::new();
-        let mut cur = self.out[self.sent_s[k] as usize * self.stride + k];
-        while cur != NONE {
-            if cur == self.sent_t[k] {
-                break;
-            }
+        let mut cur = self.edges.at(self.sent_s[k], OUT, k);
+        while cur != self.sent_t[k] {
             out.push(self.op_of[cur as usize].expect("chain nodes are real ops"));
-            cur = self.out[cur as usize * self.stride + k];
+            cur = self.edges.at(cur, OUT, k);
         }
         out
     }
@@ -608,7 +704,6 @@ impl ThreadedScheduler {
         self.collect_frontiers(v, &mut sc);
         let (isrc, isnk) = self.absorb_windows(&mut sc);
         let delay = self.core.g.delay(v);
-        let s = self.stride;
         let mut best: Option<Placement> = None;
         // One borrow of the lazy-tdist cell for the whole scan instead
         // of one per candidate.
@@ -626,7 +721,7 @@ impl ThreadedScheduler {
             // First candidate pair from the tail: `next` is the window's
             // upper bound, `cur` its chain predecessor.
             let mut next = if sc.hi[k] != NONE { sc.hi[k] } else { self.sent_t[k] };
-            let mut cur = self.inc[next as usize * s + k];
+            let mut cur = self.edges.at(next, IN, k);
             debug_assert_ne!(cur, NONE, "chains are closed by sentinels");
             while self.nh[cur as usize].pos >= lo_pos {
                 let sd = self.nh[cur as usize].sdist.max(isrc);
@@ -661,7 +756,7 @@ impl ThreadedScheduler {
                     break;
                 }
                 next = cur;
-                cur = self.inc[cur as usize * s + k];
+                cur = self.edges.at(cur, IN, k);
                 debug_assert_ne!(cur, NONE, "window stays above the head sentinel");
                 if let Some(b) = best {
                     // Monotone floor for every remaining candidate in
@@ -728,11 +823,17 @@ impl ThreadedScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the placement refers to an unknown thread or an
-    /// operation that is not in that thread (placements must come from
-    /// this scheduler's `select`/`feasible_placements` on the current
-    /// state).
+    /// Panics if the placement's thread is not a functional unit (a
+    /// wire thread has no chain to insert into; wire ops go through
+    /// [`ThreadedScheduler::schedule`]) or its `after` operation is not
+    /// in that thread (placements must come from this scheduler's
+    /// `select`/`feasible_placements` on the current state).
     pub fn commit(&mut self, placement: Placement, v: OpId) {
+        assert!(
+            placement.thread < self.resources.k(),
+            "placement thread {} is not a functional unit",
+            placement.thread
+        );
         self.commit_inner(placement, v, false);
     }
 
@@ -746,30 +847,35 @@ impl ThreadedScheduler {
         // Fault-injection hook: a no-op unless the test harness armed
         // a plan (and always in release builds).
         hls_ir::faultinject::tick_commit();
-        assert!(placement.thread < self.threads, "unknown thread");
         let k = placement.thread;
-        let s = self.stride;
-        let pos_node = match placement.after {
-            None => self.sent_s[k],
-            Some(op) => {
-                let n = self.node_of[op.index()].expect("placement.after must be scheduled");
-                assert_eq!(
-                    self.n_thread[n as usize] as usize, k,
-                    "after-op not in thread"
-                );
-                n
-            }
+        let n = if k < self.resources.k() {
+            let pos_node = match placement.after {
+                None => self.sent_s[k],
+                Some(op) => {
+                    let n = self.node_of[op.index()].expect("placement.after must be scheduled");
+                    assert_eq!(
+                        self.n_thread[n as usize] as usize, k,
+                        "after-op not in thread"
+                    );
+                    n
+                }
+            };
+            let n = self.alloc_raw_node(k, self.core.g.delay(v));
+            // Chain insertion after pos_node, with gap-numbered positions.
+            let next = self.edges.at(pos_node, OUT, k);
+            assert_ne!(next, NONE, "chain is closed by sentinels");
+            self.edges.link(n, k, next, k);
+            self.edges.link(pos_node, k, n, k);
+            self.assign_pos(n, pos_node, next, k);
+            n
+        } else {
+            // A wire op opens the next wire thread, of which it stays
+            // the only member.
+            debug_assert_eq!(k, self.thread_count(), "wire threads are numbered in order");
+            let n = self.alloc_raw_node(k, self.core.g.delay(v));
+            self.wire_nodes.push(n);
+            n
         };
-        let n = self.alloc_raw_node(k, self.core.g.delay(v));
-
-        // Chain insertion after pos_node, with gap-numbered positions.
-        let next = self.out[pos_node as usize * s + k];
-        assert_ne!(next, NONE, "chain is closed by sentinels");
-        self.out[n as usize * s + k] = next;
-        self.inc[next as usize * s + k] = n;
-        self.out[pos_node as usize * s + k] = n;
-        self.inc[n as usize * s + k] = pos_node;
-        self.assign_pos(n, pos_node, next, k);
 
         self.node_of[v.index()] = Some(n);
         self.op_of[n as usize] = Some(v);
@@ -796,15 +902,14 @@ impl ThreadedScheduler {
         // The new node's own labels read its (final) out-neighbours, so
         // repair those first; everything upstream is merely invalidated.
         let mut lz = std::mem::take(self.n_tdist.get_mut());
-        for j in 0..self.threads {
-            let m = self.out[n as usize * self.stride + j];
-            if m != NONE {
-                self.repair_tdist(&mut lz, m);
-            }
+        for m in self.edges.walk(n, OUT) {
+            self.repair_tdist(&mut lz, m);
         }
         self.init_new_node(n, &mut lz);
-        self.propagate_forward(n, &mut sc);
-        self.propagate_reach_backward(n, &mut sc);
+        sc.in_queue.resize(self.op_of.len(), false);
+        self.propagate_reach(n, OUT, &mut sc);
+        self.propagate_reach(n, IN, &mut sc);
+        self.propagate_sdist(n, &mut sc);
         self.invalidate_tdist_backward(n, &mut lz);
         *self.n_tdist.get_mut() = lz;
         *self.scratch.get_mut() = sc;
@@ -841,13 +946,10 @@ impl ThreadedScheduler {
             let Some(n) = self.node_of[v.index()] else { continue };
             let n = n as usize;
             let mut latest = u64::MAX;
-            for j in 0..self.threads {
-                let m = self.out[n * self.stride + j];
-                if m != NONE {
-                    if let Some(succ) = self.op_of[m as usize] {
-                        let st = sched.start(succ).expect("state successors are scheduled");
-                        latest = latest.min(st);
-                    }
+            for m in self.edges.walk(n as u32, OUT) {
+                if let Some(succ) = self.op_of[m as usize] {
+                    let st = sched.start(succ).expect("state successors are scheduled");
+                    latest = latest.min(st);
                 }
             }
             if latest != u64::MAX {
@@ -881,9 +983,8 @@ impl ThreadedScheduler {
             if self.op_of[n].is_none() {
                 continue;
             }
-            for j in 0..self.threads {
-                let m = self.out[n * self.stride + j];
-                if m != NONE && self.op_of[m as usize].is_some() {
+            for m in self.edges.walk(n as u32, OUT) {
+                if self.op_of[m as usize].is_some() {
                     let from = OpId::from_index(snap_of[n]);
                     let to = OpId::from_index(snap_of[m as usize]);
                     graph.add_edge(from, to).expect("state edges are valid");
@@ -1096,12 +1197,12 @@ impl ThreadedScheduler {
             if self.op_of[n].is_none() {
                 continue;
             }
-            for j in 0..self.threads {
-                let m = self.out[n * self.stride + j];
-                if m == NONE || self.op_of[m as usize].is_none() {
+            for m in self.edges.walk(n as u32, OUT) {
+                if self.op_of[m as usize].is_none() {
                     continue;
                 }
-                let style = if j == self.n_thread[n] as usize { "solid" } else { "dashed" };
+                let same = self.n_thread[m as usize] == self.n_thread[n];
+                let style = if same { "solid" } else { "dashed" };
                 let _ = writeln!(out, "  n{n} -> n{m} [style={style}];");
             }
         }
@@ -1148,45 +1249,54 @@ impl ThreadedScheduler {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let s = self.stride;
-        if s < self.threads {
-            return Err(format!("stride {s} below thread count {}", self.threads));
-        }
+        let k_units = self.resources.k();
+        let e = &self.edges;
         let n_nodes = self.op_of.len();
-        for n in 0..n_nodes {
-            for j in 0..self.threads {
-                let m = self.out[n * s + j];
-                if m != NONE {
-                    if self.n_thread[m as usize] as usize != j {
-                        return Err(format!(
-                            "node {n}: out[{j}] lands in thread {}",
-                            self.n_thread[m as usize]
-                        ));
-                    }
-                    if self.inc[m as usize * s + self.n_thread[n] as usize] != n as u32 {
-                        return Err(format!("node {n}: out[{j}] not mirrored by inc"));
-                    }
+        if e.k != k_units
+            || [&e.rows[OUT], &e.rows[IN], &self.reach_b, &self.reach_f]
+                .iter()
+                .any(|t| t.len() != n_nodes * k_units)
+        {
+            return Err(format!("flat tables are not {n_nodes} x {k_units}"));
+        }
+        // Wire thread `i` is thread `K + i` and holds one node.
+        let wires: Vec<u32> = (0..n_nodes as u32)
+            .filter(|&n| self.n_thread[n as usize] as usize >= k_units)
+            .collect();
+        let numbered = |(i, &w): (usize, &u32)| self.n_thread[w as usize] as usize == k_units + i;
+        if wires != self.wire_nodes || !wires.iter().enumerate().all(numbered) {
+            return Err("wire threads are not one node each, numbered in order".to_string());
+        }
+        // Row column `j` holds a thread-`j` node and the side sets hold
+        // wire ops; every edge is recorded once at each end.
+        let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+        for n in 0..n_nodes as u32 {
+            for dir in [OUT, IN] {
+                let row = &e.rows[dir][n as usize * k_units..(n as usize + 1) * k_units];
+                if let Some((j, _)) = row.iter().enumerate().find(|&(j, &m)| {
+                    m != NONE && self.n_thread[m as usize] as usize != j
+                }) {
+                    return Err(format!("node {n}: row column {j} holds another thread's node"));
                 }
-                let m = self.inc[n * s + j];
-                if m != NONE {
-                    if self.n_thread[m as usize] as usize != j {
-                        return Err(format!(
-                            "node {n}: inc[{j}] from thread {}",
-                            self.n_thread[m as usize]
-                        ));
-                    }
-                    if self.out[m as usize * s + self.n_thread[n] as usize] != n as u32 {
-                        return Err(format!("node {n}: inc[{j}] not mirrored by out"));
-                    }
+                let mut side = e.side[dir].range((n, 0)..=(n, NONE));
+                if side.any(|&(_, m)| (self.n_thread[m as usize] as usize) < k_units) {
+                    return Err(format!("node {n}: side set holds a unit-thread node"));
                 }
             }
+            fwd.extend(e.walk(n, OUT).map(|m| (n, m)));
+            bwd.extend(e.walk(n, IN).map(|m| (m, n)));
         }
-        for k in 0..self.threads {
+        fwd.sort_unstable();
+        bwd.sort_unstable();
+        if fwd != bwd || fwd.windows(2).any(|w| w[0] == w[1]) {
+            return Err("a state edge is not recorded exactly once at each end".to_string());
+        }
+        for k in 0..k_units {
             let mut cur = self.sent_s[k];
             let mut last_pos = self.nh[cur as usize].pos;
             let mut count = 0usize;
             loop {
-                let next = self.out[cur as usize * s + k];
+                let next = e.at(cur, OUT, k);
                 if next == NONE {
                     if cur != self.sent_t[k] {
                         return Err(format!("thread {k}: chain does not end at sentinel"));
@@ -1268,12 +1378,12 @@ impl ThreadedScheduler {
             if self.nh[n].sdist != sdist[n] || self.tdist_of(n as u32) != tdist[n] {
                 return Err(format!("node {n}: stale labels"));
             }
-            for j in 0..self.threads {
-                if self.reach_b[n * s + j] != rb[n * s + j] {
-                    return Err(format!("node {n}: stale backward reach in thread {j}"));
+            for j in n * k_units..(n + 1) * k_units {
+                if self.reach_b[j] != rb[j] {
+                    return Err(format!("node {n}: stale backward reach in thread {}", j % k_units));
                 }
-                if self.reach_f[n * s + j] != rf[n * s + j] {
-                    return Err(format!("node {n}: stale forward reach in thread {j}"));
+                if self.reach_f[j] != rf[j] {
+                    return Err(format!("node {n}: stale forward reach in thread {}", j % k_units));
                 }
             }
         }
@@ -1283,43 +1393,6 @@ impl ThreadedScheduler {
     // ------------------------------------------------------------------
     // Internals.
     // ------------------------------------------------------------------
-
-    fn push_thread(&mut self) -> usize {
-        let k = self.threads;
-        self.threads += 1;
-        if self.threads > self.stride {
-            self.grow_stride((self.stride * 2).max(self.threads));
-        }
-        let s_node = self.alloc_raw_node(k, 0);
-        let t_node = self.alloc_raw_node(k, 0);
-        self.out[s_node as usize * self.stride + k] = t_node;
-        self.inc[t_node as usize * self.stride + k] = s_node;
-        self.nh[t_node as usize].pos = GAP;
-        self.sent_s.push(s_node);
-        self.sent_t.push(t_node);
-        k
-    }
-
-    /// Re-lays the flat per-node tables for a wider row. Only wire
-    /// scheduling grows `K`, and doubling keeps the total relayout work
-    /// amortized over those pushes.
-    fn grow_stride(&mut self, new_stride: usize) {
-        let old = self.stride;
-        let n = self.op_of.len();
-        let relayout = |tab: &mut Vec<u32>| {
-            let mut next = vec![NONE; n * new_stride];
-            for i in 0..n {
-                next[i * new_stride..i * new_stride + old]
-                    .copy_from_slice(&tab[i * old..(i + 1) * old]);
-            }
-            *tab = next;
-        };
-        relayout(&mut self.inc);
-        relayout(&mut self.out);
-        relayout(&mut self.reach_b);
-        relayout(&mut self.reach_f);
-        self.stride = new_stride;
-    }
 
     fn alloc_raw_node(&mut self, thread: usize, delay: u64) -> u32 {
         // Strictly below NONE: index u32::MAX would collide with the
@@ -1338,10 +1411,9 @@ impl ThreadedScheduler {
             lz.dirty.push(false);
         }
         self.op_of.push(None);
-        self.inc.extend(std::iter::repeat_n(NONE, self.stride));
-        self.out.extend(std::iter::repeat_n(NONE, self.stride));
-        self.reach_b.extend(std::iter::repeat_n(NONE, self.stride));
-        self.reach_f.extend(std::iter::repeat_n(NONE, self.stride));
+        self.edges.push_node();
+        self.reach_b.extend(std::iter::repeat_n(NONE, self.edges.k));
+        self.reach_f.extend(std::iter::repeat_n(NONE, self.edges.k));
         idx
     }
 
@@ -1371,7 +1443,7 @@ impl ThreadedScheduler {
         loop {
             self.nh[cur as usize].pos = pos;
             pos += GAP;
-            let next = self.out[cur as usize * self.stride + k];
+            let next = self.edges.at(cur, OUT, k);
             if next == NONE {
                 break;
             }
@@ -1381,22 +1453,27 @@ impl ThreadedScheduler {
 
     fn chain_pred_op(&self, n: u32) -> Option<OpId> {
         let k = self.n_thread[n as usize] as usize;
-        let prev = self.inc[n as usize * self.stride + k];
+        if k >= self.resources.k() {
+            return None;
+        }
+        let prev = self.edges.at(n, IN, k);
         debug_assert_ne!(prev, NONE, "real nodes have chain predecessors");
         self.op_of[prev as usize]
     }
 
-    /// Wire-class operations occupy no functional unit: each becomes its
-    /// own singleton thread, keeping the state a well-formed threaded
-    /// graph (Definition 4 with a grown `K`).
+    /// Wire-class operations occupy no functional unit: each becomes
+    /// the only member of a thread of its own, keeping the state a
+    /// well-formed threaded graph (Definition 4 with a grown `K`). The
+    /// thread is numbered after the units and the earlier wire threads;
+    /// it has no chain, so the op keeps only its state edges, in the
+    /// side sets of [`Edges`].
     fn schedule_wire(&mut self, v: OpId) -> Result<Placement, SchedError> {
-        let k = self.push_thread();
         let placement = Placement {
-            thread: k,
+            thread: self.thread_count(),
             after: None,
             cost: 0,
         };
-        self.commit(placement, v);
+        self.commit_inner(placement, v, false);
         let n = self.node_of[v.index()].expect("just committed");
         Ok(Placement {
             cost: self.nh[n as usize].sdist + self.tdist_of(n) - self.nh[n as usize].delay,
@@ -1417,11 +1494,13 @@ impl ThreadedScheduler {
         if !lz.dirty[x as usize] {
             return;
         }
-        let s = self.stride;
         // Repairing a (never-legal) cyclic state would chase dirty
         // nodes around the cycle forever; the stack bound fails fast
-        // instead, mirroring the seed's relabel assert.
-        let stack_bound = self.op_of.len() * (self.threads + 1) + 64;
+        // instead, mirroring the seed's relabel assert. A legal repair
+        // stacks at most one frame per node of a path, each holding at
+        // most the node's out-degree: a row plus its side entries.
+        let side = self.edges.side[OUT].len();
+        let stack_bound = self.op_of.len() * (self.edges.k + 1) + side + 64;
         let mut stack = std::mem::take(&mut lz.stack);
         stack.clear();
         stack.push(x);
@@ -1433,9 +1512,8 @@ impl ThreadedScheduler {
                 continue;
             }
             let mut pending = false;
-            for j in 0..self.threads {
-                let z = self.out[yi * s + j];
-                if z != NONE && lz.dirty[z as usize] {
+            for z in self.edges.walk(y, OUT) {
+                if lz.dirty[z as usize] {
                     stack.push(z);
                     pending = true;
                 }
@@ -1443,13 +1521,7 @@ impl ThreadedScheduler {
             if pending {
                 continue;
             }
-            let mut best = 0;
-            for j in 0..self.threads {
-                let z = self.out[yi * s + j];
-                if z != NONE {
-                    best = best.max(lz.val[z as usize]);
-                }
-            }
+            let best = self.edges.walk(y, OUT).map(|z| lz.val[z as usize]).max().unwrap_or(0);
             lz.val[yi] = best + self.nh[yi].delay;
             lz.dirty[yi] = false;
             stack.pop();
@@ -1462,14 +1534,12 @@ impl ThreadedScheduler {
     /// steady-state cost per commit is `O(K)` — this is what removes
     /// the seed's full-relabel `Θ(|V|·K)` from every commit.
     fn invalidate_tdist_backward(&self, n: u32, lz: &mut TdistLazy) {
-        let s = self.stride;
         let mut stack = std::mem::take(&mut lz.stack);
         stack.clear();
         stack.push(n);
         while let Some(y) = stack.pop() {
-            for j in 0..self.threads {
-                let p = self.inc[y as usize * s + j];
-                if p != NONE && !lz.dirty[p as usize] {
+            for p in self.edges.walk(y, IN) {
+                if !lz.dirty[p as usize] {
                     lz.dirty[p as usize] = true;
                     stack.push(p);
                 }
@@ -1488,9 +1558,9 @@ impl ThreadedScheduler {
         if sc.op_seen.len() < self.core.g.len() {
             sc.op_seen.resize(self.core.g.len(), 0);
         }
-        if sc.lo.len() < self.threads {
-            sc.lo.resize(self.threads, NONE);
-            sc.hi.resize(self.threads, NONE);
+        if sc.lo.len() < self.edges.k {
+            sc.lo.resize(self.edges.k, NONE);
+            sc.hi.resize(self.edges.k, NONE);
         }
     }
 
@@ -1568,59 +1638,27 @@ impl ThreadedScheduler {
 
     /// Folds the frontier and its reach vectors into per-thread windows
     /// (`sc.lo`/`sc.hi`) and returns `(intrinsic_src, intrinsic_snk)`.
+    /// Only the unit threads get windows: wire ops are never placement
+    /// targets.
     fn absorb_windows(&self, sc: &mut Scratch) -> (u64, u64) {
-        sc.lo[..self.threads].fill(NONE);
-        sc.hi[..self.threads].fill(NONE);
-        let s = self.stride;
+        let k = self.edges.k;
+        sc.lo[..k].fill(NONE);
+        sc.hi[..k].fill(NONE);
         let mut isrc = 0u64;
         let mut isnk = 0u64;
         for &p in &sc.preds_f {
             let pi = p as usize;
             isrc = isrc.max(self.nh[pi].sdist);
-            let tp = self.n_thread[pi] as usize;
-            sc.lo[tp] = self.later(sc.lo[tp], p);
-            for (j, slot) in sc.lo[..self.threads].iter_mut().enumerate() {
-                let r = self.reach_b[pi * s + j];
-                if r != NONE {
-                    *slot = self.later(*slot, r);
-                }
-            }
+            self.merge_reach(&mut sc.lo[..k], &self.reach_b[pi * k..(pi + 1) * k], true);
+            self.merge_self(&mut sc.lo[..k], p, true);
         }
         for &q in &sc.succs_f {
             let qi = q as usize;
             isnk = isnk.max(self.tdist_of(q));
-            let tq = self.n_thread[qi] as usize;
-            sc.hi[tq] = self.earlier(sc.hi[tq], q);
-            for (j, slot) in sc.hi[..self.threads].iter_mut().enumerate() {
-                let r = self.reach_f[qi * s + j];
-                if r != NONE {
-                    *slot = self.earlier(*slot, r);
-                }
-            }
+            self.merge_reach(&mut sc.hi[..k], &self.reach_f[qi * k..(qi + 1) * k], false);
+            self.merge_self(&mut sc.hi[..k], q, false);
         }
         (isrc, isnk)
-    }
-
-    /// Later (max-pos) of two same-thread nodes; [`NONE`] loses.
-    fn later(&self, a: u32, b: u32) -> u32 {
-        if a == NONE {
-            b
-        } else if b == NONE || self.nh[a as usize].pos >= self.nh[b as usize].pos {
-            a
-        } else {
-            b
-        }
-    }
-
-    /// Earlier (min-pos) of two same-thread nodes; [`NONE`] loses.
-    fn earlier(&self, a: u32, b: u32) -> u32 {
-        if a == NONE {
-            b
-        } else if b == NONE || self.nh[a as usize].pos <= self.nh[b as usize].pos {
-            a
-        } else {
-            b
-        }
     }
 
     fn for_each_feasible(
@@ -1640,7 +1678,6 @@ impl ThreadedScheduler {
         self.collect_frontiers(v, &mut sc);
         let (isrc, isnk) = self.absorb_windows(&mut sc);
         let delay = self.core.g.delay(v);
-        let s = self.stride;
         for k in 0..self.resources.k() {
             if !self.resources.compatible(k, kind) {
                 continue;
@@ -1656,7 +1693,7 @@ impl ThreadedScheduler {
                 u64::MAX
             };
             loop {
-                let next = self.out[cur as usize * s + k];
+                let next = self.edges.at(cur, OUT, k);
                 if next == NONE || self.nh[cur as usize].pos >= hi_pos {
                     break;
                 }
@@ -1676,10 +1713,13 @@ impl ThreadedScheduler {
 
     /// Figure 2 rules (a)–(c): link a scheduled G-ancestor `p` to the new
     /// node `n` in thread `k`, keeping only tightest representative edges.
+    /// A wire thread holds one node, so when `n` is a wire op no edge
+    /// into its thread exists yet, and when `p` is one the only
+    /// thread-`j` neighbour `n` can have recorded is `p` itself.
     fn apply_pred_rule(&mut self, p: u32, n: u32, k: usize) {
-        let s = self.stride;
+        let units = self.edges.k;
         let j = self.n_thread[p as usize] as usize;
-        let q = self.out[p as usize * s + k];
+        let q = if k < units { self.edges.at(p, OUT, k) } else { NONE };
         if q != NONE {
             // Rule (a): existing edge to a vertex at or before `n` already
             // implies `p ≺ n` through the chain.
@@ -1687,32 +1727,28 @@ impl ThreadedScheduler {
                 return;
             }
             // Rule (c): the edge overshoots `n`; retarget it.
-            debug_assert_eq!(self.inc[q as usize * s + j], p);
-            self.inc[q as usize * s + j] = NONE;
-            self.out[p as usize * s + k] = NONE;
+            self.edges.unlink(p, j, q, k);
         }
         // Rule (b) otherwise: no edge into thread `k` yet.
-        let p2 = self.inc[n as usize * s + j];
-        if p2 == p {
-            self.out[p as usize * s + k] = n;
-        } else if p2 != NONE && self.nh[p2 as usize].pos > self.nh[p as usize].pos {
+        let p2 = if j < units { self.edges.at(n, IN, j) } else { NONE };
+        if p2 != NONE && self.nh[p2 as usize].pos > self.nh[p as usize].pos {
             // A later vertex of thread `j` already guards `n`; `p ≺ p2 ≺ n`.
-        } else {
-            // `p` is tighter than the recorded predecessor; displace it.
-            if p2 != NONE {
-                self.out[p2 as usize * s + k] = NONE;
-            }
-            self.inc[n as usize * s + j] = p;
-            self.out[p as usize * s + k] = n;
+            return;
         }
+        if p2 != NONE && p2 != p {
+            // `p` is tighter than the recorded predecessor; displace it.
+            self.edges.unlink(p2, j, n, k);
+        }
+        self.edges.link(p, j, n, k);
     }
 
     /// Figure 2 rules (d)–(f): link the new node `n` (thread `k`) to a
-    /// scheduled G-descendant `q`.
+    /// scheduled G-descendant `q`; the mirror of
+    /// [`Self::apply_pred_rule`].
     fn apply_succ_rule(&mut self, q: u32, n: u32, k: usize) {
-        let s = self.stride;
+        let units = self.edges.k;
         let j2 = self.n_thread[q as usize] as usize;
-        let u = self.inc[q as usize * s + k];
+        let u = if k < units { self.edges.at(q, IN, k) } else { NONE };
         if u != NONE {
             // Rule (d): `q` already follows a vertex after `n` in thread
             // `k`; `n ≺ u ≺ q` through the chain.
@@ -1720,70 +1756,87 @@ impl ThreadedScheduler {
                 return;
             }
             // Rule (f): the edge comes from before `n`; retarget it.
-            debug_assert_eq!(self.out[u as usize * s + j2], q);
-            self.out[u as usize * s + j2] = NONE;
-            self.inc[q as usize * s + k] = NONE;
+            self.edges.unlink(u, k, q, j2);
         }
         // Rule (e) otherwise: no edge from thread `k` yet.
-        let q2 = self.out[n as usize * s + j2];
-        if q2 == q {
-            self.inc[q as usize * s + k] = n;
-        } else if q2 != NONE && self.nh[q2 as usize].pos < self.nh[q as usize].pos {
+        let q2 = if j2 < units { self.edges.at(n, OUT, j2) } else { NONE };
+        if q2 != NONE && self.nh[q2 as usize].pos < self.nh[q as usize].pos {
             // An earlier vertex of thread `j2` is already guarded;
             // `n ≺ q2 ≺ q`.
-        } else {
-            if q2 != NONE {
-                self.inc[q2 as usize * s + k] = NONE;
-            }
-            self.out[n as usize * s + j2] = q;
-            self.inc[q as usize * s + k] = n;
+            return;
         }
+        if q2 != NONE && q2 != q {
+            self.edges.unlink(n, k, q2, j2);
+        }
+        self.edges.link(n, k, q, j2);
     }
 
     /// Seeds the labels and reach vectors of a freshly linked node from
     /// its (final) direct state edges. The out-neighbours' `tdist` must
     /// already be repaired.
     fn init_new_node(&mut self, n: u32, lz: &mut TdistLazy) {
-        let s = self.stride;
         let ni = n as usize;
+        let k = self.edges.k;
+        let mut rb = std::mem::take(&mut self.reach_b);
+        let mut rf = std::mem::take(&mut self.reach_f);
+        // `n` is the newest node: its rows are the tails of the tables.
+        let (rb_old, rb_n) = rb.split_at_mut(ni * k);
+        let (rf_old, rf_n) = rf.split_at_mut(ni * k);
         let mut sd = 0u64;
-        let mut td = 0u64;
-        for j in 0..self.threads {
-            let m = self.inc[ni * s + j];
-            if m != NONE {
-                let mi = m as usize;
-                sd = sd.max(self.nh[mi].sdist);
-                for t in 0..self.threads {
-                    let mut c = self.reach_b[mi * s + t];
-                    if self.n_thread[mi] as usize == t && self.op_of[mi].is_some() {
-                        c = self.later(c, m);
-                    }
-                    if c != NONE {
-                        self.reach_b[ni * s + t] = self.later(self.reach_b[ni * s + t], c);
-                    }
-                }
-            }
-            let m = self.out[ni * s + j];
-            if m != NONE {
-                let mi = m as usize;
-                debug_assert!(!lz.dirty[mi], "out-neighbour tdist must be repaired");
-                td = td.max(lz.val[mi]);
-                for t in 0..self.threads {
-                    let mut c = self.reach_f[mi * s + t];
-                    if self.n_thread[mi] as usize == t && self.op_of[mi].is_some() {
-                        c = self.earlier(c, m);
-                    }
-                    if c != NONE {
-                        self.reach_f[ni * s + t] = self.earlier(self.reach_f[ni * s + t], c);
-                    }
-                }
-            }
+        for m in self.edges.walk(n, IN) {
+            let mi = m as usize;
+            sd = sd.max(self.nh[mi].sdist);
+            self.merge_reach(rb_n, &rb_old[mi * k..(mi + 1) * k], true);
+            self.merge_self(rb_n, m, true);
         }
+        let mut td = 0u64;
+        for m in self.edges.walk(n, OUT) {
+            let mi = m as usize;
+            debug_assert!(!lz.dirty[mi], "out-neighbour tdist must be repaired");
+            td = td.max(lz.val[mi]);
+            self.merge_reach(rf_n, &rf_old[mi * k..(mi + 1) * k], false);
+            self.merge_self(rf_n, m, false);
+        }
+        (self.reach_b, self.reach_f) = (rb, rf);
         self.nh[ni].sdist = sd + self.nh[ni].delay;
         self.diam = self.diam.max(self.nh[ni].sdist);
         self.note_proj(ni);
         lz.val[ni] = td + self.nh[ni].delay;
         lz.dirty[ni] = false;
+    }
+
+    /// A node's rank in the order reach rows and windows keep: the later
+    /// node wins for backward reach (`back`), the earlier for forward
+    /// reach.
+    fn reach_rank(&self, x: u32, back: bool) -> u64 {
+        self.nh[x as usize].pos ^ if back { 0 } else { u64::MAX }
+    }
+
+    /// Merges the reach row `src` into `into`, per thread keeping the
+    /// higher [`Self::reach_rank`]. Returns whether `into` changed.
+    #[inline]
+    fn merge_reach(&self, into: &mut [u32], src: &[u32], back: bool) -> bool {
+        let mut changed = false;
+        for (slot, &c) in into.iter_mut().zip(src) {
+            if c != NONE
+                && (*slot == NONE || self.reach_rank(*slot, back) < self.reach_rank(c, back))
+            {
+                *slot = c;
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Merges node `m` itself into its own unit thread's slot of `row`.
+    fn merge_self(&self, row: &mut [u32], m: u32, back: bool) {
+        let t = self.n_thread[m as usize] as usize;
+        if t < row.len()
+            && self.op_of[m as usize].is_some()
+            && (row[t] == NONE || self.reach_rank(row[t], back) < self.reach_rank(m, back))
+        {
+            row[t] = m;
+        }
     }
 
     /// Folds node `n`'s current label into the final-diameter lower
@@ -1812,77 +1865,30 @@ impl ThreadedScheduler {
         }
     }
 
-    /// Increase-only relaxation of `sdist` and the backward reach
-    /// vectors over the forward cone of `from`. Edge retargeting during
-    /// `commit` only replaces an edge by a longer-or-equal path through
-    /// the new node, so labels are monotone and the worklist touches
-    /// only nodes whose values actually change.
+    /// Increase-only relaxation of `sdist` over the forward cone of
+    /// `from`. Edge retargeting during `commit` only replaces an edge by
+    /// a longer-or-equal path through the new node, so labels are
+    /// monotone and the worklist touches only nodes whose values
+    /// actually change. Every raised node is queued, and its label only
+    /// grows until it is popped, so the running maxima are folded in at
+    /// the pop.
     ///
-    /// The two relaxations are independent (`sdist` never reads the
-    /// reach rows and vice versa), so they run as *separate* worklist
-    /// passes: the row merge self-limits after a handful of nodes (only
-    /// nodes that previously had no later thread-`k` ancestor change),
-    /// while the `sdist` cascade of a mid-chain insert runs down the
-    /// whole tail cone — keeping its inner loop free of the `threads²`
-    /// row merge is the difference between ~4 and ~10 random cache
-    /// lines per popped node.
-    fn propagate_forward(&mut self, from: u32, sc: &mut Scratch) {
-        let s = self.stride;
-        let tn = self.threads;
-        if sc.in_queue.len() < self.op_of.len() {
-            sc.in_queue.resize(self.op_of.len(), false);
-        }
-        // Pass 1: backward-reach rows over the forward cone.
-        sc.queue.clear();
-        sc.queue.push(from);
-        while let Some(x) = sc.queue.pop() {
-            let xi = x as usize;
-            sc.in_queue[xi] = false;
-            // x's effective row — its backward-reach entries with x
-            // itself folded into its own thread's slot — copied out
-            // once, so the per-successor merge is slice-to-slice.
-            sc.row.clear();
-            sc.row.extend_from_slice(&self.reach_b[xi * s..xi * s + tn]);
-            if self.op_of[xi].is_some() {
-                let t = self.n_thread[xi] as usize;
-                sc.row[t] = self.later(sc.row[t], x);
-            }
-            for j in 0..tn {
-                let z = self.out[xi * s + j];
-                if z == NONE {
-                    continue;
-                }
-                let zi = z as usize;
-                let mut improved = false;
-                let nh = &self.nh;
-                for (slot, &c) in self.reach_b[zi * s..zi * s + tn].iter_mut().zip(&sc.row) {
-                    // Inlined `later(cur, c)` against the split-borrowed
-                    // position table.
-                    if c != NONE
-                        && (*slot == NONE || nh[*slot as usize].pos < nh[c as usize].pos)
-                    {
-                        *slot = c;
-                        improved = true;
-                    }
-                }
-                if improved && !sc.in_queue[zi] {
-                    sc.in_queue[zi] = true;
-                    sc.queue.push(z);
-                }
-            }
-        }
-        // Pass 2: the lean `sdist` cascade.
+    /// The reach rows relax in their own passes
+    /// ([`Self::propagate_reach`]): a row merge self-limits after a
+    /// handful of nodes, while the `sdist` cascade of a mid-chain insert
+    /// runs down the whole tail cone — keeping its inner loop free of
+    /// the `K²` row merge is the difference between ~4 and ~10 random
+    /// cache lines per popped node.
+    fn propagate_sdist(&mut self, from: u32, sc: &mut Scratch) {
         sc.queue.clear();
         sc.queue.push(from);
         while let Some(x) = sc.queue.pop() {
             let xi = x as usize;
             sc.in_queue[xi] = false;
             let xsd = self.nh[xi].sdist;
-            for j in 0..tn {
-                let z = self.out[xi * s + j];
-                if z == NONE {
-                    continue;
-                }
+            self.diam = self.diam.max(xsd);
+            self.note_proj(xi);
+            for z in self.edges.walk(x, OUT) {
                 let zi = z as usize;
                 let cand = xsd + self.nh[zi].delay;
                 // No legal path exceeds the sum of all delays; a larger
@@ -1891,8 +1897,6 @@ impl ThreadedScheduler {
                 assert!(cand <= self.total_delay, "scheduling state must stay acyclic");
                 if cand > self.nh[zi].sdist {
                     self.nh[zi].sdist = cand;
-                    self.diam = self.diam.max(cand);
-                    self.note_proj(zi);
                     if !sc.in_queue[zi] {
                         sc.in_queue[zi] = true;
                         sc.queue.push(z);
@@ -1902,77 +1906,58 @@ impl ThreadedScheduler {
         }
     }
 
-    /// Mirror of [`Self::propagate_forward`] for the forward reach
-    /// vectors over the backward cone. (`tdist` itself is *not* pushed
-    /// eagerly — see [`TdistLazy`] — because a tail commit's backward
-    /// cone is nearly the whole state; reach entries, by contrast, only
-    /// change for nodes that previously had no thread-`k` descendant,
-    /// so this walk self-limits.)
-    fn propagate_reach_backward(&mut self, from: u32, sc: &mut Scratch) {
-        let s = self.stride;
-        let tn = self.threads;
-        if sc.in_queue.len() < self.op_of.len() {
-            sc.in_queue.resize(self.op_of.len(), false);
-        }
+    /// Increase-only relaxation of the reach rows over the cone of
+    /// `from`: the backward reach down the successors (`dir == OUT`,
+    /// the later ancestor wins), the forward reach up the predecessors
+    /// (the earlier descendant wins). Only nodes that had no such
+    /// thread-`j` node beyond the new one change, so the walk
+    /// self-limits. (`tdist` is *not* pushed eagerly — see
+    /// [`TdistLazy`] — because a tail commit's backward cone is nearly
+    /// the whole state.)
+    fn propagate_reach(&mut self, from: u32, dir: usize, sc: &mut Scratch) {
+        let k = self.edges.k;
+        let back = dir == OUT;
+        let mut rows = std::mem::take(if back { &mut self.reach_b } else { &mut self.reach_f });
         sc.queue.clear();
         sc.queue.push(from);
         while let Some(x) = sc.queue.pop() {
             let xi = x as usize;
             sc.in_queue[xi] = false;
+            // x's effective row — its reach entries with x itself in its
+            // own unit thread — copied out once, so the per-neighbour
+            // merge is slice-to-slice.
             sc.row.clear();
-            sc.row.extend_from_slice(&self.reach_f[xi * s..xi * s + tn]);
-            if self.op_of[xi].is_some() {
-                let t = self.n_thread[xi] as usize;
-                sc.row[t] = self.earlier(sc.row[t], x);
-            }
-            for j in 0..tn {
-                let z = self.inc[xi * s + j];
-                if z == NONE {
-                    continue;
-                }
+            sc.row.extend_from_slice(&rows[xi * k..(xi + 1) * k]);
+            self.merge_self(&mut sc.row, x, back);
+            for z in self.edges.walk(x, dir) {
                 let zi = z as usize;
-                let mut improved = false;
-                let nh = &self.nh;
-                for (slot, &c) in self.reach_f[zi * s..zi * s + tn].iter_mut().zip(&sc.row) {
-                    // Inlined `earlier(cur, c)`.
-                    if c != NONE
-                        && (*slot == NONE || nh[*slot as usize].pos > nh[c as usize].pos)
-                    {
-                        *slot = c;
-                        improved = true;
-                    }
-                }
+                let improved = self.merge_reach(&mut rows[zi * k..(zi + 1) * k], &sc.row, back);
                 if improved && !sc.in_queue[zi] {
                     sc.in_queue[zi] = true;
                     sc.queue.push(z);
                 }
             }
         }
+        *(if back { &mut self.reach_b } else { &mut self.reach_f }) = rows;
     }
 
     /// Topological order of the threaded-graph nodes, or `None` if the
     /// state has a cycle (it never should).
     fn topo_nodes(&self) -> Option<Vec<u32>> {
-        let s = self.stride;
         let n_nodes = self.op_of.len();
-        let mut indeg = vec![0usize; n_nodes];
-        for (i, d) in indeg.iter_mut().enumerate() {
-            *d = (0..self.threads).filter(|&j| self.inc[i * s + j] != NONE).count();
-        }
+        let mut indeg: Vec<usize> =
+            (0..n_nodes as u32).map(|i| self.edges.walk(i, IN).count()).collect();
         let mut queue: Vec<u32> = (0..n_nodes as u32)
             .filter(|&i| indeg[i as usize] == 0)
             .collect();
         let mut head = 0;
         while head < queue.len() {
-            let i = queue[head] as usize;
+            let i = queue[head];
             head += 1;
-            for j in 0..self.threads {
-                let m = self.out[i * s + j];
-                if m != NONE {
-                    indeg[m as usize] -= 1;
-                    if indeg[m as usize] == 0 {
-                        queue.push(m);
-                    }
+            for m in self.edges.walk(i, OUT) {
+                indeg[m as usize] -= 1;
+                if indeg[m as usize] == 0 {
+                    queue.push(m);
                 }
             }
         }
@@ -1984,53 +1969,36 @@ impl ThreadedScheduler {
     /// behind [`Self::relabel_full`].
     fn compute_labels_full(&self) -> Option<FullLabels> {
         let topo = self.topo_nodes()?;
-        let s = self.stride;
+        let k = self.edges.k;
         let n_nodes = self.op_of.len();
         let mut sdist = vec![0u64; n_nodes];
         let mut tdist = vec![0u64; n_nodes];
-        let mut rb = vec![NONE; n_nodes * s];
-        let mut rf = vec![NONE; n_nodes * s];
+        let mut rb = vec![NONE; n_nodes * k];
+        let mut rf = vec![NONE; n_nodes * k];
+        let mut src = vec![NONE; k];
         for &i in &topo {
             let ii = i as usize;
             let mut best = 0;
-            for j in 0..self.threads {
-                let m = self.inc[ii * s + j];
-                if m == NONE {
-                    continue;
-                }
+            for m in self.edges.walk(i, IN) {
                 let mi = m as usize;
                 best = best.max(sdist[mi]);
-                for t in 0..self.threads {
-                    let mut c = rb[mi * s + t];
-                    if self.n_thread[mi] as usize == t && self.op_of[mi].is_some() {
-                        c = self.later(c, m);
-                    }
-                    if c != NONE {
-                        rb[ii * s + t] = self.later(rb[ii * s + t], c);
-                    }
-                }
+                src.copy_from_slice(&rb[mi * k..(mi + 1) * k]);
+                let row = &mut rb[ii * k..(ii + 1) * k];
+                self.merge_reach(row, &src, true);
+                self.merge_self(row, m, true);
             }
             sdist[ii] = best + self.nh[ii].delay;
         }
         for &i in topo.iter().rev() {
             let ii = i as usize;
             let mut best = 0;
-            for j in 0..self.threads {
-                let m = self.out[ii * s + j];
-                if m == NONE {
-                    continue;
-                }
+            for m in self.edges.walk(i, OUT) {
                 let mi = m as usize;
                 best = best.max(tdist[mi]);
-                for t in 0..self.threads {
-                    let mut c = rf[mi * s + t];
-                    if self.n_thread[mi] as usize == t && self.op_of[mi].is_some() {
-                        c = self.earlier(c, m);
-                    }
-                    if c != NONE {
-                        rf[ii * s + t] = self.earlier(rf[ii * s + t], c);
-                    }
-                }
+                src.copy_from_slice(&rf[mi * k..(mi + 1) * k]);
+                let row = &mut rf[ii * k..(ii + 1) * k];
+                self.merge_reach(row, &src, false);
+                self.merge_self(row, m, false);
             }
             tdist[ii] = best + self.nh[ii].delay;
         }
@@ -2647,9 +2615,20 @@ mod tests {
         ));
     }
 
+    /// Every flat table holds exactly one `K`-wide row per node, and
+    /// the only nodes besides the scheduled ops are the unit sentinels.
+    fn assert_rows_are_k_wide(ts: &ThreadedScheduler) {
+        let k = ts.resources().k();
+        let nodes = ts.op_of.len();
+        assert_eq!(ts.edges.k, k, "row width");
+        for table in [&ts.edges.rows[OUT], &ts.edges.rows[IN], &ts.reach_b, &ts.reach_f] {
+            assert_eq!(table.len(), nodes * k);
+        }
+        assert_eq!(nodes, 2 * k + ts.scheduled_count());
+    }
+
     #[test]
-    fn wire_threads_grow_the_stride_coherently() {
-        // Enough wire ops to force several stride doublings.
+    fn wire_ops_keep_the_rows_k_wide() {
         let mut g = PrecedenceGraph::new();
         let mut prev = g.add_op(OpKind::Add, 1, "a0");
         let mut all = vec![prev];
@@ -2660,9 +2639,52 @@ mod tests {
             all.push(w);
         }
         let mut ts = ThreadedScheduler::new(g, ResourceSet::uniform(1)).unwrap();
-        ts.schedule_all(all).unwrap();
+        ts.schedule_all(all.iter().copied()).unwrap();
         ts.check_invariants().unwrap();
         assert_eq!(ts.thread_count(), 21);
         assert_eq!(ts.diameter(), 21);
+        assert_rows_are_k_wide(&ts);
+        for (i, &w) in all[1..].iter().enumerate() {
+            assert_eq!(ts.thread_of(w), Some(1 + i));
+            assert_eq!(ts.chain(1 + i), vec![w]);
+        }
+
+        // 600 wire delays spliced onto a scheduled design.
+        let g = hls_ir::generate::stress_dag(31, 400);
+        let r = ResourceSet::classic(2, 1);
+        let order = hls_ir::algo::topo_order(&g).unwrap();
+        let mut ts = ThreadedScheduler::new(g, r).unwrap();
+        ts.schedule_all(order).unwrap();
+        let edges: Vec<(OpId, OpId)> = ts.graph().edges().take(600).collect();
+        assert_eq!(edges.len(), 600);
+        for (i, (from, to)) in edges.into_iter().enumerate() {
+            ts.refine_splice(from, to, [(OpKind::WireDelay, 1, format!("wd{i}"))])
+                .unwrap();
+        }
+        ts.check_invariants().unwrap();
+        assert_eq!(ts.thread_count(), 3 + 600);
+        assert_rows_are_k_wide(&ts);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a functional unit")]
+    fn commit_on_a_wire_thread_panics() {
+        let mut g = PrecedenceGraph::new();
+        let a = g.add_op(OpKind::Add, 1, "a");
+        let w = g.add_op(OpKind::WireDelay, 1, "w");
+        let b = g.add_op(OpKind::Add, 1, "b");
+        g.add_edge(a, w).unwrap();
+        let mut ts = ThreadedScheduler::new(g, ResourceSet::uniform(1)).unwrap();
+        ts.schedule_all([a, w]).unwrap();
+        // Thread 1 is `w`'s wire thread: there is no chain to insert `b`
+        // into.
+        ts.commit(
+            Placement {
+                thread: 1,
+                after: Some(w),
+                cost: 0,
+            },
+            b,
+        );
     }
 }
