@@ -229,8 +229,8 @@ fn scaling(cli: &Cli) -> Json {
     });
     obj! {
         "pr": 2u32,
-        "subject": "schedule_all wall time + peak heap growth; chain-cover reachability index \
-            vs the dense closures (and the frozen seed)",
+        "subject": "schedule_all wall time + peak heap growth of the incremental engine \
+            vs the frozen seed and its dense closures",
         "workload": "layered DFG, bounded mean in-degree ~6, ResourceSet::classic(2,2), \
             topological meta order",
         "fitted_exponent_optimized": Json::fixed(slope, 4),
@@ -483,7 +483,7 @@ fn wall_gate(committed: &str) {
     }
 }
 
-/// BENCH_7: select/commit per-op cost, `ReachIndex` probe throughput,
+/// BENCH_7: select/commit per-op cost, `ReachIndex` pair-probe throughput,
 /// the extremum kernels and the single-threaded `schedule_all` sweep.
 fn micro(quick: bool) -> Json {
     // Warm the process so the first timed scenario is not inflated.
@@ -506,16 +506,11 @@ fn micro(quick: bool) -> Json {
     );
 
     println!("== ReachIndex probes ({probe_ops} ops) ==");
-    let (pp, sp) = bench_probes(probe_ops);
+    let pp = bench_probes(probe_ops);
     let pp_mops = pp.ops_per_sec() / 1e6;
-    let sp_mops = sp.ops_per_sec() / 1e6;
     println!(
         "  pair probe    : {pp_mops:8.1} Mops/s ({:.1} ns)",
         pp.min_ns
-    );
-    println!(
-        "  set probe     : {sp_mops:8.1} Mops/s ({:.1} ns)",
-        sp.min_ns
     );
     let k = bench_kernels(probe_ops);
     println!("== min_into kernels ({} lanes/row) ==", k.lanes);
@@ -545,11 +540,10 @@ fn micro(quick: bool) -> Json {
         "pr": 9u32,
         "subject": "hot-path micro-benchmarks: select/commit per-op cost, ReachIndex probe \
             throughput, word-parallel extremum kernels",
-        "targets": obj! { "wall_100k_us": 150000u32, "probe_mops": Json::fixed(5.0, 1) },
+        "targets": obj! { "wall_100k_us": 150000u32 },
         "select_ns_per_op": Json::fixed(select.min_ns, 1),
         "select_commit_ns_per_op": Json::fixed(pair.min_ns, 1),
         "pair_probe_mops": Json::fixed(pp_mops, 2),
-        "set_probe_mops": Json::fixed(sp_mops, 2),
         "kernel_min_into": obj! {
             "lanes": k.lanes,
             "word_converged_ns_per_lane": Json::fixed(k.word_converged_ns, 3),

@@ -185,7 +185,7 @@ pub fn scaling_sweep(sizes: &[usize], reference_cutoff: usize) -> Vec<ScalePoint
 
             // Peak heap growth of the optimized engine alone: baseline
             // after the workload exists, peak over construction (graph
-            // copy + reachability index) and the full schedule.
+            // copy and per-op tables) and the full schedule.
             let mem_base = crate::mem::current_bytes();
             crate::mem::reset_peak();
             let mut ts = ThreadedScheduler::new(g.clone(), resources.clone())

@@ -9,9 +9,8 @@
 //! * [`bench_select_commit`] — `select` alone (read-only, repeatable)
 //!   and the full `select`+`commit` pair, per operation, measured
 //!   mid-run on a layered DAG state;
-//! * [`bench_probes`] — `ReachIndex` pair probes (`reaches`), set
-//!   probes (`set_reaches`/`set_reached_by` against a live
-//!   [`ChainExtrema`]), and the word-parallel extremum-row kernels vs
+//! * [`bench_probes`] — `ReachIndex` pair probes (`reaches`);
+//! * [`bench_kernels`] — the word-parallel extremum-row kernels vs
 //!   their scalar oracles.
 //!
 //! `bench micro` drives these, prints a table and emits
@@ -19,7 +18,7 @@
 //! CI gate on the 100k-op single-threaded wall.
 
 use crate::complexity::{scaling_sweep, sweep_config};
-use hls_ir::reach::{kernels, ChainExtrema, ReachIndex};
+use hls_ir::reach::{kernels, ReachIndex};
 use hls_ir::{generate, ResourceSet};
 use std::hint::black_box;
 use std::time::Instant;
@@ -184,18 +183,12 @@ pub fn bench_select_commit(ops: usize) -> (Sample, Sample) {
     (select, pair)
 }
 
-/// Probe costs on a `ops`-op layered DAG: `(pair_probe, set_probe)`
-/// nanoseconds per probe (invert via [`Sample::ops_per_sec`] for the
-/// Mops/sec acceptance number).
-pub fn bench_probes(ops: usize) -> (Sample, Sample) {
+/// Pair-probe cost on a `ops`-op layered DAG, nanoseconds per probe
+/// (invert via [`Sample::ops_per_sec`] for Mops/sec).
+pub fn bench_probes(ops: usize) -> Sample {
     let g = generate::layered_dag(0x5EED ^ ops as u64, &sweep_config(ops));
     let n = g.len();
     let reach = ReachIndex::try_build(&g).expect("fits the chain budget");
-    // A half-full scheduled set: the extrema shape mid-run probes see.
-    let mut ex = ChainExtrema::empty(&reach);
-    for v in (0..n).step_by(2) {
-        ex.insert(&reach, v);
-    }
 
     // Deterministic index mixing (splitmix-style) so probes stride the
     // index instead of hammering one row.
@@ -208,41 +201,15 @@ pub fn bench_probes(ops: usize) -> (Sample, Sample) {
         (z ^ (z >> 31)) as usize
     };
 
-    let pair = {
-        let mut acc = 0u64;
-        let mut f = || {
-            let u = next_idx() % n;
-            let v = next_idx() % n;
-            acc += reach.reaches(u, v) as u64;
-        };
-        let s = time_fn("pair_probe_ns", 2_000_000, 5, &mut f);
-        black_box(acc);
-        s
+    let mut acc = 0u64;
+    let mut f = || {
+        let u = next_idx() % n;
+        let v = next_idx() % n;
+        acc += reach.reaches(u, v) as u64;
     };
-
-    let mut state2 = 0x2545_F491_4F6C_DD1Du64;
-    let mut next_idx2 = move || {
-        state2 ^= state2 << 13;
-        state2 ^= state2 >> 7;
-        state2 ^= state2 << 17;
-        state2 as usize
-    };
-    let set = {
-        let mut acc = 0u64;
-        let mut f = || {
-            let v = next_idx2() % n;
-            acc += reach.set_reaches(&ex, v) as u64;
-            acc += reach.set_reached_by(&ex, v) as u64;
-        };
-        // Two probes per iteration; per-probe time halves below.
-        let mut s = time_fn("set_probe_ns", 500_000, 5, &mut f);
-        s.min_ns /= 2.0;
-        s.median_ns /= 2.0;
-        black_box(acc);
-        s
-    };
-
-    (pair, set)
+    let s = time_fn("pair_probe_ns", 2_000_000, 5, &mut f);
+    black_box(acc);
+    s
 }
 
 /// Word-vs-scalar `min_into` at the chain width of a `ops`-op index,
@@ -261,8 +228,8 @@ pub struct KernelReport {
     pub word_churn_ns: f64,
     /// Churning rows through the scalar oracle.
     pub scalar_churn_ns: f64,
-    /// `any_le` on all-false rows (the full-walk worst case every
-    /// "no" probe pays) — the word walk. Per-lane ns.
+    /// `any_le` on all-false rows (the full-walk worst case) — the
+    /// word walk. Per-lane ns.
     pub any_le_word_ns: f64,
     /// `any_le` all-false rows through the scalar oracle.
     pub any_le_scalar_ns: f64,
@@ -320,7 +287,7 @@ pub fn bench_kernels(ops: usize) -> KernelReport {
     };
 
     // any_le worst case: every lane answers "no", the whole row is
-    // walked — the shape a failed set probe pays. An early-exit loop
+    // walked. An early-exit loop
     // defeats autovectorization, so this is where the 4-lane word
     // walk earns its keep.
     let hi: Vec<u16> = vec![1000; lanes];

@@ -1,10 +1,10 @@
 //! BENCH_6: partition-parallel scaling to million-op behaviors.
 //!
-//! The sequential engine's wall time at scale is dominated by
-//! whole-graph terms (the superlinear chain-cover index build and
-//! out-of-cache flat tables); `ParallelScheduler` decomposes the
-//! behavior into balanced blocks, schedules them on worker threads and
-//! stitches the seams in one linear pass. This study measures both
+//! `ParallelScheduler` decomposes the behavior into balanced blocks,
+//! schedules them on worker threads and stitches the seams in one
+//! linear pass; it was built when the sequential engine's wall at
+//! scale was dominated by a superlinear chain-cover index build, which
+//! the sequential engine no longer has. This study measures both
 //! engines on the BENCH_2 workload family
 //! ([`crate::complexity::sweep_config`]) up to 10⁶ operations and
 //! records the schedule-quality cost of decomposition (stitched vs

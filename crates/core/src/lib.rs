@@ -106,8 +106,9 @@ pub enum SchedError {
     /// A scheduler (or a racing strategy) panicked mid-commit; its
     /// state is unusable. The payload names the panic / the strategy.
     Poisoned(String),
-    /// A capacity limit was exceeded (e.g. the reachability index's
-    /// chain-id space) — the input is too large for this engine.
+    /// A capacity limit was exceeded (e.g. delays, an II or a latency
+    /// past a race's packed score range) — the input is too large for
+    /// this engine.
     ResourceExhausted(String),
     /// A caller-supplied structure is internally inconsistent — e.g. a
     /// graft translation map with duplicate entries, which would
@@ -145,12 +146,6 @@ impl fmt::Display for SchedError {
                 write!(f, "target graph does not extend the scheduled behavior")
             }
         }
-    }
-}
-
-impl From<hls_ir::CapacityError> for SchedError {
-    fn from(e: hls_ir::CapacityError) -> Self {
-        SchedError::ResourceExhausted(e.to_string())
     }
 }
 

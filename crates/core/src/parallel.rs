@@ -1,10 +1,12 @@
 //! Partition-parallel scheduling: block-decomposed soft scheduling for
 //! million-op behaviors.
 //!
-//! The sequential engine's cost at scale is dominated by whole-graph
-//! terms: the chain-cover reachability index build is superlinear in
-//! `|V|`, and at 10⁶ ops the flat per-node tables fall out of cache.
-//! [`ParallelScheduler`] removes both by decomposition:
+//! [`ParallelScheduler`] schedules a behavior by decomposition, so no
+//! run ever holds whole-graph per-node tables. The sequential engine
+//! builds no whole-graph index either, and on a 2-vCPU host it is as
+//! fast or faster at 3·10⁵ and 10⁶ ops with 2 or 8 workers
+//! (EXPERIMENTS.md, §BENCH_6): the decomposition no longer pays for
+//! itself, and only `bench parallel` and its own tests run it. Steps:
 //!
 //! 1. **Partition.** [`hls_ir::partition`] splits the behavior into
 //!    balanced blocks whose quotient is acyclic and topologically
@@ -37,7 +39,7 @@
 //! [`ParallelScheduler::materialize`] replays a stitched run into a
 //! live [`ThreadedScheduler`] through the engine's own `commit` (tail
 //! inserts in combined topological order). It rebuilds the whole-graph
-//! index, so it is a verification oracle, not a fast path: the
+//! state, so it is a verification oracle, not a fast path: the
 //! rebuilt state passes `check_invariants`, reproduces the stitched
 //! diameter, and accepts ECO refinement (`refine_splice`,
 //! `refine_graft`) exactly as a sequential state does.
@@ -405,11 +407,10 @@ impl ParallelScheduler {
     /// order). The materialised state's diameter equals `run.diameter`
     /// (same threaded graph, same longest path).
     ///
-    /// This is the stitch's verification oracle: it rebuilds the
-    /// whole-graph reachability index — the cost the partition path
-    /// exists to avoid — so that `check_invariants` can cross-validate
-    /// the stitched threading and ECO refinement can be exercised on
-    /// it. It is not a production path.
+    /// This is the stitch's verification oracle: it rebuilds a
+    /// whole-graph scheduling state so that `check_invariants` can
+    /// cross-validate the stitched threading and ECO refinement can be
+    /// exercised on it. It is not a production path.
     ///
     /// # Errors
     ///

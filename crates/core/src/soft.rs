@@ -25,9 +25,9 @@ use hls_ir::{algo, BitMatrix, OpId, PrecedenceGraph};
 /// Snapshots are a *verification* surface: [`StateSnapshot::order`]
 /// materialises the state's dense transitive closure, which is fine at
 /// test sizes but `Θ(|V|²)` bits. The scheduler itself answers its
-/// hot-path reachability probes through the sub-quadratic chain-cover
-/// index ([`hls_ir::ReachIndex`], `DESIGN.md` §5) and never builds
-/// these matrices outside [`check_incremental`]-style oracles.
+/// hot-path reachability probes from two monotone bits per op
+/// (`DESIGN.md` §5) and never builds these matrices outside
+/// [`check_incremental`]-style oracles.
 #[derive(Clone, Debug)]
 pub struct StateSnapshot {
     /// The state as a precedence graph; vertex `i` corresponds to
@@ -156,9 +156,9 @@ pub fn check_correctness(g: &PrecedenceGraph, snap: &StateSnapshot) -> Result<()
 /// This is a small-`V` test oracle: it compares the two states' full
 /// dense closures (`Θ(|V|²)` per step). The production engine never
 /// pays that — its incremental guarantees are enforced structurally by
-/// the commit rules and cross-checked against the chain-cover
-/// reachability index ([`hls_ir::ReachIndex`], `DESIGN.md` §5) in
-/// `ThreadedScheduler::check_invariants`.
+/// the commit rules and cross-checked against from-scratch
+/// recomputations of its labels, reach vectors and scheduled-cone bits
+/// (`DESIGN.md` §4–§5) in `ThreadedScheduler::check_invariants`.
 ///
 /// # Errors
 ///

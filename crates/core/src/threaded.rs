@@ -36,15 +36,13 @@
 //!   state-ancestor and earliest per-thread state-descendant — so
 //!   `select` computes its feasible windows from the scheduled frontier
 //!   in `O(K²)` instead of marking the whole state;
-//! * behavior-graph reachability is a chain-cover index
-//!   ([`hls_ir::ReachIndex`], `O(|V| · #chains)` memory) instead of the
-//!   dense `Θ(|V|²)`-bit ancestor/descendant closure matrices the seed
-//!   carries; the frontier walk's "any scheduled ancestor/descendant"
-//!   pruning probes compare the per-op chain vectors against per-chain
-//!   scheduled-position extrema in `O(#chains)` (see `DESIGN.md` §5);
-//! * `sync_graph_growth` repairs that index locally for the spliced
-//!   vertices instead of recomputing (or widening) a full transitive
-//!   closure.
+//! * the frontier walk's "any scheduled ancestor/descendant" pruning
+//!   reads two bits per op instead of the dense `Θ(|V|²)`-bit
+//!   ancestor/descendant closure matrices the seed carries. Ops are
+//!   never unscheduled, so each bit only ever turns on: a commit marks
+//!   the new op's cone, a growth marks the new ops from their
+//!   neighbours, and every walk stops at ops already marked, so a
+//!   whole run costs `O(|V| + |E|)` (see `DESIGN.md` §5).
 //!
 //! The golden-equivalence suite (`tests/golden_equivalence.rs`) pins the
 //! observable behavior — placement sequences and extracted schedules —
@@ -52,8 +50,7 @@
 
 use crate::{SchedError, soft::StateSnapshot};
 use hls_ir::{
-    ChainExtrema, HardSchedule, OpId, OpKind, Operand, PrecedenceGraph, ReachIndex,
-    ResourceClass, ResourceSet,
+    HardSchedule, OpId, OpKind, Operand, PrecedenceGraph, ReachIndex, ResourceClass, ResourceSet,
 };
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -152,22 +149,17 @@ impl Iterator for Walk<'_> {
     }
 }
 
-/// The immutable graph-side state of a scheduler: the behavior graph,
-/// the chain-cover reachability index over it, and its static sink
-/// distances. Everything in here is a pure function of the *behavior*
-/// — it never changes while operations are merely scheduled, only
-/// under behavior-extending refinement (splice, add-op, retype). The
-/// scheduler holds it behind an [`Arc`] so clones (portfolio runs,
-/// parallel-stitch materialisation, serve-cache templates) share one
-/// copy; refinement goes through [`Arc::make_mut`] copy-on-write.
+/// The immutable graph-side state of a scheduler: the behavior graph
+/// and its static sink distances. Everything in here is a pure function
+/// of the *behavior* — it never changes while operations are merely
+/// scheduled, only under behavior-extending refinement (splice,
+/// add-op, retype). The scheduler holds it behind an [`Arc`] so clones
+/// (portfolio runs, parallel-stitch materialisation, serve-cache
+/// templates) share one copy; refinement goes through
+/// [`Arc::make_mut`] copy-on-write.
 #[derive(Clone, Debug)]
 struct GraphCore {
     g: PrecedenceGraph,
-    /// Chain-cover reachability index over the behavior graph —
-    /// `O(|V| · #chains)` memory instead of the seed's two dense
-    /// `Θ(|V|²)`-bit closure matrices — repaired locally under
-    /// refinement.
-    reach: ReachIndex,
     /// Static behavior-graph sink distances `‖v→‖_G` (inclusive),
     /// indexed by op — the tail term of the final-diameter lower
     /// bound. Recomputed on graph growth and delay retyping (cold
@@ -288,20 +280,21 @@ struct TdistLazy {
 /// wire delays) and the state coherently.
 #[derive(Clone, Debug)]
 pub struct ThreadedScheduler {
-    /// The immutable graph-side core — behavior graph, reachability
-    /// index, static sink distances — shared (`Arc`) across scheduler
-    /// clones: a portfolio of runs over one behavior, or the parallel
-    /// scheduler's stitched state, pays for the graph and its index
-    /// once. Refinement operations that *do* extend the behavior
-    /// (splice, add-op, retype, index growth) go through
+    /// The immutable graph-side core — behavior graph, static sink
+    /// distances — shared (`Arc`) across scheduler clones: a portfolio
+    /// of runs over one behavior, or the parallel scheduler's stitched
+    /// state, pays for the graph once. Refinement operations that *do*
+    /// extend the behavior (splice, add-op, retype) go through
     /// [`Arc::make_mut`] — copy-on-write, so divergent clones stay
     /// isolated while read-only clones stay free.
     core: Arc<GraphCore>,
-    /// Per-chain scheduled-position extrema, maintained with one
-    /// `O(1)` insert per commit. `select`'s frontier-walk pruning
-    /// probes the set through [`ReachIndex::set_reaches`] /
-    /// [`ReachIndex::set_reached_by`] in `O(#chains)`.
-    sched_extrema: ChainExtrema,
+    /// Per op: whether it has a scheduled strict ancestor in the
+    /// behavior graph. Monotone — ops are never unscheduled — so the
+    /// set of marked ops only grows and stays closed under successors.
+    has_sched_anc: Vec<bool>,
+    /// Per op: whether it has a scheduled strict descendant — the
+    /// mirror of `has_sched_anc`, closed under predecessors.
+    has_sched_desc: Vec<bool>,
     resources: ResourceSet,
     /// Cached state diameter `max(sdist)`. `sdist` labels only grow
     /// under scheduling (Lemma 4; delay retyping relabels and
@@ -372,14 +365,13 @@ impl ThreadedScheduler {
     /// Returns [`SchedError::Ir`] if `g` is cyclic.
     pub fn new(g: PrecedenceGraph, resources: ResourceSet) -> Result<Self, SchedError> {
         g.validate()?;
-        let reach = ReachIndex::try_build(&g)?;
-        let sched_extrema = ChainExtrema::empty(&reach);
         let gdist = hls_ir::algo::sink_distances(&g);
         let k = resources.k();
         let mut ts = ThreadedScheduler {
             node_of: vec![None; g.len()],
-            core: Arc::new(GraphCore { g, reach, gdist }),
-            sched_extrema,
+            has_sched_anc: vec![false; g.len()],
+            has_sched_desc: vec![false; g.len()],
+            core: Arc::new(GraphCore { g, gdist }),
             resources,
             diam: 0,
             proj: 0,
@@ -512,12 +504,18 @@ impl ThreadedScheduler {
             .max(self.core.gdist.iter().copied().max().unwrap_or(0))
     }
 
-    /// The chain-cover reachability index the scheduler maintains over
-    /// its working behavior graph (kept exact under refinement growth).
-    /// Exposed so tooling can run `O(#chains)` set probes or read the
-    /// chain count without rebuilding the index.
-    pub fn reach_index(&self) -> &ReachIndex {
-        &self.core.reach
+    /// A chain-cover reachability index over the working behavior
+    /// graph, built on demand. A diagnostic for tooling (the chain
+    /// count of the grown graph, pair probes): the scheduler itself
+    /// keeps no index, and each call pays a full
+    /// [`ReachIndex::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph exceeds the index's capacity (see
+    /// [`ReachIndex::try_build`]).
+    pub fn reach_index(&self) -> ReachIndex {
+        ReachIndex::build(&self.core.g)
     }
 
     /// Schedules one operation: `select` then `commit` (the paper's
@@ -879,7 +877,6 @@ impl ThreadedScheduler {
 
         self.node_of[v.index()] = Some(n);
         self.op_of[n as usize] = Some(v);
-        self.sched_extrema.insert(&self.core.reach, v.index());
 
         // Figure 2 rules for the scheduled frontier (dominated ancestors
         // and descendants are already ordered through it — DESIGN.md §4).
@@ -888,6 +885,9 @@ impl ThreadedScheduler {
             self.prep_scratch(&mut sc);
             self.collect_frontiers(v, &mut sc);
         }
+        let g = &self.core.g;
+        mark_cone(g, &mut self.has_sched_anc, v, OUT, &mut sc.stack);
+        mark_cone(g, &mut self.has_sched_desc, v, IN, &mut sc.stack);
         let preds = std::mem::take(&mut sc.preds_f);
         let succs = std::mem::take(&mut sc.succs_f);
         for &p in &preds {
@@ -1010,7 +1010,7 @@ impl ThreadedScheduler {
         chain: impl IntoIterator<Item = (OpKind, u64, String)>,
     ) -> Result<Vec<OpId>, SchedError> {
         let inserted = Arc::make_mut(&mut self.core).g.splice_on_edge(from, to, chain)?;
-        self.sync_graph_growth()?;
+        self.sync_graph_growth();
         for &v in &inserted {
             // Reloads go as late as their slack allows so the spilled
             // value stays in memory, not in a register; everything else
@@ -1050,7 +1050,7 @@ impl ThreadedScheduler {
         if self.core.g.validate().is_err() {
             return Err(SchedError::WouldCycle(v));
         }
-        self.sync_graph_growth()?;
+        self.sync_graph_growth();
         self.schedule(v)?;
         Ok(v)
     }
@@ -1241,9 +1241,9 @@ impl ThreadedScheduler {
     /// chain integrity, strictly increasing gap positions, the Lemma 7
     /// degree bound, acyclicity, label freshness, reach-vector
     /// freshness (the incremental engine against a from-scratch
-    /// recomputation), and exact agreement of the chain-cover
-    /// reachability index and its per-chain scheduled extrema with the
-    /// dense-closure oracle.
+    /// recomputation), and exact agreement of the per-op
+    /// scheduled-ancestor/descendant bits with a from-scratch
+    /// topological recomputation.
     ///
     /// # Errors
     ///
@@ -1323,23 +1323,20 @@ impl ThreadedScheduler {
                 ));
             }
         }
-        // The chain-cover index must agree exactly with the dense
-        // closure oracle, and the per-chain scheduled extrema with the
-        // actual scheduled set.
-        self.core.reach
-            .check(&self.core.g)
-            .map_err(|e| format!("reach index: {e}"))?;
-        if self.sched_extrema.chain_count() != self.core.reach.chain_count() {
-            return Err("scheduled extrema disagree with chain count".to_string());
+        // The scheduled-cone bits against a from-scratch recomputation
+        // in topological order.
+        let g = &self.core.g;
+        let order = hls_ir::algo::topo_order(g).map_err(|e| format!("behavior graph: {e}"))?;
+        let sched = |u: &OpId| self.node_of[u.index()].is_some();
+        let (mut anc, mut desc) = (vec![false; g.len()], vec![false; g.len()]);
+        for &v in &order {
+            anc[v.index()] = g.preds(v).iter().any(|p| sched(p) || anc[p.index()]);
         }
-        let want = self.core.reach.extrema(
-            self.core.g
-                .op_ids()
-                .filter(|v| self.node_of[v.index()].is_some())
-                .map(|v| v.index()),
-        );
-        if want != self.sched_extrema {
-            return Err("stale per-chain scheduled extrema".to_string());
+        for &v in order.iter().rev() {
+            desc[v.index()] = g.succs(v).iter().any(|q| sched(q) || desc[q.index()]);
+        }
+        if anc != self.has_sched_anc || desc != self.has_sched_desc {
+            return Err("stale scheduled-ancestor/descendant bits".to_string());
         }
         // Acyclicity + freshness of the incrementally maintained labels
         // and reach vectors, against a from-scratch recomputation.
@@ -1564,28 +1561,15 @@ impl ThreadedScheduler {
         }
     }
 
-    /// `true` iff op `x` has a scheduled strict ancestor: some chain
-    /// holds a scheduled op at or before the highest position that
-    /// reaches `x`. `O(#chains)`, branchless — this replaces the seed's
-    /// `Θ(|V|/64)` closure-row ∩ scheduled-mask probe.
-    fn has_scheduled_ancestor(&self, x: usize) -> bool {
-        self.core.reach.set_reaches(&self.sched_extrema, x)
-    }
-
-    /// `true` iff op `x` has a scheduled strict descendant — the mirror
-    /// of [`Self::has_scheduled_ancestor`] against the per-chain
-    /// scheduled maxima.
-    fn has_scheduled_descendant(&self, x: usize) -> bool {
-        self.core.reach.set_reached_by(&self.sched_extrema, x)
-    }
-
     /// Walks the *scheduled frontier* of `v`: the first scheduled
     /// operation along every predecessor (resp. successor) path of the
     /// behavior graph. Every other scheduled ancestor/descendant is
     /// ordered through a frontier member (correctness condition), so the
     /// frontier alone determines the feasible windows and intrinsic
-    /// distances. The walk descends through unscheduled ops only, pruned
-    /// by `O(#chains)` chain-cover reachability probes.
+    /// distances. The walk descends through unscheduled ops only, and
+    /// only into those with a scheduled ancestor (resp. descendant) —
+    /// one bit read each, replacing the seed's `Θ(|V|/64)` closure-row
+    /// ∩ scheduled-mask probe.
     fn collect_frontiers(&self, v: OpId, sc: &mut Scratch) {
         let e = sc.epoch;
         sc.preds_f.clear();
@@ -1602,7 +1586,7 @@ impl ThreadedScheduler {
             sc.op_seen[xi] = e;
             if let Some(n) = self.node_of[xi] {
                 sc.preds_f.push(n);
-            } else if self.has_scheduled_ancestor(xi) {
+            } else if self.has_sched_anc[xi] {
                 for &p in self.core.g.preds(OpId::from_index(xi)) {
                     sc.stack.push(p.index() as u32);
                 }
@@ -1610,7 +1594,7 @@ impl ThreadedScheduler {
         }
         // An op's ancestors and descendants are disjoint (DAG), so the
         // epoch marks are shared between the two walks.
-        if self.has_scheduled_descendant(v.index()) {
+        if self.has_sched_desc[v.index()] {
             sc.stack.clear();
             for &q in self.core.g.succs(v) {
                 sc.stack.push(q.index() as u32);
@@ -1623,7 +1607,7 @@ impl ThreadedScheduler {
                 sc.op_seen[xi] = e;
                 if let Some(n) = self.node_of[xi] {
                     sc.succs_f.push(n);
-                } else if self.has_scheduled_descendant(xi) {
+                } else if self.has_sched_desc[xi] {
                     for &q in self.core.g.succs(OpId::from_index(xi)) {
                         sc.stack.push(q.index() as u32);
                     }
@@ -1874,10 +1858,8 @@ impl ThreadedScheduler {
     /// the pop.
     ///
     /// The reach rows relax in their own passes
-    /// ([`Self::propagate_reach`]): a row merge self-limits after a
-    /// handful of nodes, while the `sdist` cascade of a mid-chain insert
-    /// runs down the whole tail cone — keeping its inner loop free of
-    /// the `K²` row merge is the difference between ~4 and ~10 random
+    /// ([`Self::propagate_reach`]), which keeps this inner loop free of
+    /// the `K²` row merge — the difference between ~4 and ~10 random
     /// cache lines per popped node.
     fn propagate_sdist(&mut self, from: u32, sc: &mut Scratch) {
         sc.queue.clear();
@@ -1909,11 +1891,15 @@ impl ThreadedScheduler {
     /// Increase-only relaxation of the reach rows over the cone of
     /// `from`: the backward reach down the successors (`dir == OUT`,
     /// the later ancestor wins), the forward reach up the predecessors
-    /// (the earlier descendant wins). Only nodes that had no such
-    /// thread-`j` node beyond the new one change, so the walk
-    /// self-limits. (`tdist` is *not* pushed eagerly — see
-    /// [`TdistLazy`] — because a tail commit's backward cone is nearly
-    /// the whole state.)
+    /// (the earlier descendant wins). A node is pushed only when its
+    /// row improves, so the walk stops where rows already hold a better
+    /// entry — but it does not stop after a handful of nodes. Counted
+    /// on the 100k-op `bench scaling` sweep (topological order,
+    /// `classic(2,2)`), the two passes pop 1.23M nodes per 100k
+    /// commits, 868k of them in the backward (`reach_f`) pass, against
+    /// 784k for the `sdist` cascade. (`tdist` is *not* pushed eagerly —
+    /// see [`TdistLazy`] — because a tail commit's backward cone is
+    /// nearly the whole state.)
     fn propagate_reach(&mut self, from: u32, dir: usize, sc: &mut Scratch) {
         let k = self.edges.k;
         let back = dir == OUT;
@@ -2026,23 +2012,60 @@ impl ThreadedScheduler {
     }
 
     /// Absorbs behavior-graph growth (splices, ECO ops) into the
-    /// scheduler: resizes the op-indexed tables and repairs the
-    /// chain-cover reachability index *locally* — the new ops are
-    /// covered by fresh chains and a min/max relaxation walks only the
-    /// affected cone ([`ReachIndex::grow`]), replacing the seed's
-    /// per-row dense-closure surgery.
-    fn sync_graph_growth(&mut self) -> Result<(), SchedError> {
+    /// scheduler: resizes the op-indexed tables and sets the new ops'
+    /// scheduled-cone bits, replacing the seed's per-row dense-closure
+    /// surgery. Every new edge has a new (unscheduled) op at one end,
+    /// so a new op is marked when a neighbour on that side is
+    /// scheduled or marked, and the walk goes on from it into old ops
+    /// that gain a scheduled ancestor (descendant) through it. A new op
+    /// whose neighbour is marked only later, in id order (a spliced
+    /// `Store → Load` learns its scheduled descendant from the `Load`),
+    /// is reached by that later walk instead.
+    fn sync_graph_growth(&mut self) {
         let old = self.node_of.len();
         let new = self.core.g.len();
         self.node_of.resize(new, None);
         if new == old {
-            return Ok(());
+            return;
         }
-        let core = Arc::make_mut(&mut self.core);
-        core.reach.try_grow(&core.g)?;
-        self.sched_extrema.sync_chain_count(&self.core.reach);
+        let g = &self.core.g;
+        let node_of = &self.node_of;
+        let stack = &mut self.scratch.get_mut().stack;
+        for (bits, dir) in [
+            (&mut self.has_sched_anc, OUT),
+            (&mut self.has_sched_desc, IN),
+        ] {
+            bits.resize(new, false);
+            for i in old..new {
+                let v = OpId::from_index(i);
+                let behind = if dir == OUT { g.preds(v) } else { g.succs(v) };
+                let fed = |u: &OpId| node_of[u.index()].is_some() || bits[u.index()];
+                if !bits[i] && behind.iter().any(fed) {
+                    bits[i] = true;
+                    mark_cone(g, bits, v, dir, stack);
+                }
+            }
+        }
         self.refresh_proj();
-        Ok(())
+    }
+}
+
+/// Marks the strict cone of `from` in direction `dir` (its descendants
+/// for [`OUT`], its ancestors for [`IN`]) in `bits`. The walk stops at
+/// ops already marked: the marked set stays closed in `dir`, so their
+/// cones are marked already, and each op is pushed at most once over
+/// the scheduler's life.
+fn mark_cone(g: &PrecedenceGraph, bits: &mut [bool], from: OpId, dir: usize, stack: &mut Vec<u32>) {
+    stack.clear();
+    stack.push(from.index() as u32);
+    while let Some(x) = stack.pop() {
+        let x = OpId::from_index(x as usize);
+        for &y in if dir == OUT { g.succs(x) } else { g.preds(x) } {
+            if !bits[y.index()] {
+                bits[y.index()] = true;
+                stack.push(y.index() as u32);
+            }
+        }
     }
 }
 

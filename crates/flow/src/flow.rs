@@ -197,8 +197,8 @@ pub enum FlowError {
     Poisoned(String),
     /// The textual DFG input did not parse ([`crate::run_flow_dfg`]).
     Malformed(String),
-    /// An input exceeded a structural capacity limit (e.g. the
-    /// reachability index's vertex budget).
+    /// An input exceeded a structural capacity limit (e.g. delays
+    /// summing past the portfolio race's score range).
     ResourceExhausted(String),
 }
 

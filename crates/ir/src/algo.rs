@@ -199,8 +199,9 @@ pub fn transitive_closure(g: &PrecedenceGraph) -> BitMatrix {
 /// unions ([`transitive_closure`]); the ancestor matrix is its
 /// word-parallel [`BitMatrix::transpose`]. This is the single dense
 /// closure constructor shared by every scheduler and oracle in the
-/// workspace; the schedulers' hot paths use the sub-quadratic
-/// [`crate::reach::ReachIndex`] instead and keep this as the small-`V`
+/// workspace. The threaded scheduler's hot path needs none of it (it
+/// keeps two bits per op), and [`crate::reach::ReachIndex`] is the
+/// sub-quadratic reachability structure; this stays the small-`V`
 /// verification oracle.
 ///
 /// # Panics

@@ -261,8 +261,7 @@ pub fn stress_dag(seed: u64, ops: usize) -> PrecedenceGraph {
 
 /// Splices a 1–3 op wire-delay chain onto a random existing edge — the
 /// spill / wire-delay refinement shape the schedulers produce. No-op
-/// on edgeless graphs. Shared by the reachability and invariant fuzz
-/// suites.
+/// on edgeless graphs. Used by the reachability fuzz suite.
 pub fn random_splice(g: &mut PrecedenceGraph, rng: &mut StdRng, tag: usize) {
     let edges: Vec<(OpId, OpId)> = g.edges().collect();
     if edges.is_empty() {
@@ -279,8 +278,8 @@ pub fn random_splice(g: &mut PrecedenceGraph, rng: &mut StdRng, tag: usize) {
 
 /// Adds one new op with random already-existing predecessors and
 /// successors, chosen from disjoint topological prefix/suffix so the
-/// graph stays acyclic — the ECO refinement shape. Shared by the
-/// reachability and invariant fuzz suites.
+/// graph stays acyclic — the ECO refinement shape. Used by the
+/// reachability fuzz suite.
 pub fn random_eco_op(g: &mut PrecedenceGraph, rng: &mut StdRng, tag: usize) {
     let order = crate::algo::topo_order(g).expect("mutated graph stays a DAG");
     let v = g.add_op(OpKind::Add, 1, format!("eco{tag}"));

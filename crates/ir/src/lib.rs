@@ -10,7 +10,9 @@
 //! * graph algorithms used throughout the scheduler stack — topological
 //!   orders, source/sink distances, diameter, critical paths, longest-path
 //!   partitions, transitive closure ([`algo`], [`BitMatrix`]) and the
-//!   sub-quadratic chain-cover reachability index ([`reach`]),
+//!   sub-quadratic chain-cover reachability index ([`reach`]), a
+//!   reachability oracle and tooling surface (the scheduler keeps no
+//!   index),
 //! * the four benchmark data-flow graphs evaluated in the paper
 //!   ([`bench_graphs`]: HAL, AR, EF/elliptic, FIR) plus the Figure 1
 //!   motivating example,
@@ -56,7 +58,7 @@ pub use bitmatrix::BitMatrix;
 pub use budget::Budget;
 pub use graph::{DistEdgeIter, EdgeIter, OpId, OpIdIter, Operand, PrecedenceGraph};
 pub use partition::{Partition, PartitionConfig};
-pub use reach::{CapacityError, ChainExtrema, ReachIndex};
+pub use reach::{CapacityError, ReachIndex};
 pub use op::{DelayModel, OpKind, ResourceClass};
 pub use resources::ResourceSet;
 pub use schedule::{HardSchedule, ModuloError, ModuloSchedule, ScheduleError};

@@ -18,19 +18,17 @@
 //!   `≤ up[v][c]` reaches `v`.
 //!
 //! So `reaches(u, v)` is one comparison (`down[u][chain(v)] ≤ pos(v)`),
-//! an existential probe against a vertex set reduces to `#chains`
-//! comparisons against a per-chain extremum, and the whole index costs
-//! `O(|V| · #chains)` memory — `o(|V|²)` whenever the cover is small,
-//! which it is for bounded-width behavior DAGs (by Dilworth the optimal
-//! cover equals the maximum antichain). The dense matrices remain
-//! available through [`crate::algo::closures`] as the small-`V` oracle;
+//! and the whole index costs `O(|V| · #chains)` memory — `o(|V|²)`
+//! whenever the cover is small, which it is for bounded-width behavior
+//! DAGs (by Dilworth the optimal cover equals the maximum antichain).
+//! The dense matrices remain available through
+//! [`crate::algo::closures`] as the small-`V` oracle;
 //! [`ReachIndex::check`] cross-validates against them.
 //!
-//! The index is *incrementally maintainable*: [`ReachIndex::grow`]
-//! absorbs appended vertices (refinement splices, ECO ops) by chaining
-//! the new vertices, seeding their vectors from their neighbours, and
-//! running a localized min/max relaxation over the affected cone only —
-//! no from-scratch rebuild, no `O(|V|²)` row surgery.
+//! The index is a reachability oracle and a tooling surface (chain
+//! counts, pair probes); the threaded scheduler keeps no index — the
+//! one question it asks, "does this op have a scheduled ancestor /
+//! descendant", is answered by two monotone bits per op.
 
 use crate::{algo, OpId, PrecedenceGraph};
 
@@ -50,8 +48,8 @@ const MAX_POS: u32 = u16::MAX as u32 - 1;
 const MAX_VERTICES: usize = u32::MAX as usize - 1;
 
 /// The graph exceeds the index's capacity limits (vertex-id width or
-/// table size) — see [`ReachIndex::try_build`]. Schedulers surface
-/// this as their `ResourceExhausted` error rather than truncating.
+/// table size) — see [`ReachIndex::try_build`] — reported instead of
+/// truncating ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapacityError {
     /// Human-readable description of the exceeded limit.
@@ -88,96 +86,27 @@ pub const NO_DOWN: Pos = Pos::MAX;
 /// (positions are 1-based).
 pub const NO_UP: Pos = 0;
 
-/// Per-chain position extrema of a vertex subset — the shared
-/// ingredient of every `O(#chains)` existential probe ("does any
-/// member of the set strictly reach / get reached by `v`?").
-///
-/// For a set `S`, `min[c]` is the lowest chain-`c` position occupied
-/// by a member (or [`NO_DOWN`] when none) and `max[c]` the highest (or
-/// [`NO_UP`]). Because chain members reach their chain successors, the
-/// chain-minimum member reaches everything any member of that chain
-/// reaches, so the extrema alone decide set-level reachability — see
-/// [`ReachIndex::set_reaches`] and [`ReachIndex::set_reached_by`].
-///
-/// Build one for an ad-hoc set with [`ReachIndex::extrema`], or keep
-/// one incrementally with [`ChainExtrema::insert`] (the threaded
-/// scheduler maintains its scheduled-set extrema this way, one `O(1)`
-/// insert per commit). After [`ReachIndex::grow`] adds chains, call
-/// [`ChainExtrema::sync_chain_count`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChainExtrema {
-    /// Per chain: lowest member position, [`NO_DOWN`] when empty.
-    min: Vec<Pos>,
-    /// Per chain: highest member position, [`NO_UP`] when empty.
-    max: Vec<Pos>,
-}
-
-impl ChainExtrema {
-    /// The extrema of the empty set over the chains of `index`.
-    pub fn empty(index: &ReachIndex) -> ChainExtrema {
-        ChainExtrema {
-            min: vec![NO_DOWN; index.chain_count()],
-            max: vec![NO_UP; index.chain_count()],
-        }
-    }
-
-    /// Adds vertex `v` to the set. `O(1)`.
-    pub fn insert(&mut self, index: &ReachIndex, v: usize) {
-        let c = index.chain_of(v);
-        let p = index.pos_of(v);
-        self.min[c] = self.min[c].min(p);
-        self.max[c] = self.max[c].max(p);
-    }
-
-    /// Number of chains the extrema cover.
-    pub fn chain_count(&self) -> usize {
-        self.min.len()
-    }
-
-    /// Extends the per-chain tables with empty entries after the
-    /// underlying index grew new chains ([`ReachIndex::grow`]).
-    pub fn sync_chain_count(&mut self, index: &ReachIndex) {
-        self.min.resize(index.chain_count(), NO_DOWN);
-        self.max.resize(index.chain_count(), NO_UP);
-    }
-
-    /// The lowest member position in chain `c` ([`NO_DOWN`] when the
-    /// chain holds no member).
-    pub fn min_of(&self, c: usize) -> Pos {
-        self.min[c]
-    }
-
-    /// The highest member position in chain `c` ([`NO_UP`] when none).
-    pub fn max_of(&self, c: usize) -> Pos {
-        self.max[c]
-    }
-}
-
 /// The chain-cover reachability index of a [`PrecedenceGraph`].
 ///
-/// Answers strict-reachability queries (`u ≺_G v`) in `O(1)` and
-/// "does `v` reach / is `v` reached by any member of a set" probes in
-/// `O(#chains)`, using `O(|V| · #chains)` memory. See the [module
-/// docs](self).
+/// Answers strict-reachability queries (`u ≺_G v`) in `O(1)`, using
+/// `O(|V| · #chains)` memory. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct ReachIndex {
     /// Number of indexed vertices.
     n: usize,
-    /// Number of chains in the cover.
+    /// Number of chains in the cover; also the row width of
+    /// `down`/`up`.
     chains: usize,
-    /// Row width of `down`/`up`; `>= chains`, grown by doubling under
-    /// [`ReachIndex::grow`] so relayouts stay amortized.
-    stride: usize,
     /// Per vertex: its chain.
     chain: Vec<u32>,
     /// Per vertex: its 1-based position within its chain.
     pos: Vec<Pos>,
     /// Per chain: number of members (positions are `1..=len`).
     chain_len: Vec<Pos>,
-    /// `down[v·stride + c]`: lowest chain-`c` position strictly
+    /// `down[v·chains + c]`: lowest chain-`c` position strictly
     /// reachable from `v`, or [`NO_DOWN`].
     down: Vec<Pos>,
-    /// `up[v·stride + c]`: highest chain-`c` position strictly reaching
+    /// `up[v·chains + c]`: highest chain-`c` position strictly reaching
     /// `v`, or [`NO_UP`].
     up: Vec<Pos>,
 }
@@ -224,7 +153,6 @@ impl ReachIndex {
         let mut idx = ReachIndex {
             n,
             chains: 0,
-            stride: 0,
             chain: vec![u32::MAX; n],
             pos: vec![0; n],
             chain_len: Vec::new(),
@@ -246,15 +174,14 @@ impl ReachIndex {
             if !is_head[v.index()] {
                 continue;
             }
-            idx.cover_path(v.index(), |_, cur| {
+            idx.cover_path(v.index(), |cur| {
                 (pair_succ[cur] != u32::MAX).then_some(pair_succ[cur] as usize)
             });
         }
         idx.chains = idx.chain_len.len();
-        idx.stride = idx.chains.max(1);
-        capacity_check(n, idx.stride)?;
-        idx.down = vec![NO_DOWN; n * idx.stride];
-        idx.up = vec![NO_UP; n * idx.stride];
+        capacity_check(n, idx.chains)?;
+        idx.down = vec![NO_DOWN; n * idx.chains];
+        idx.up = vec![NO_UP; n * idx.chains];
         let mut buf = vec![0 as Pos; idx.chains];
         for &v in order.iter().rev() {
             for &s in g.succs(v) {
@@ -299,175 +226,7 @@ impl ReachIndex {
     /// `true` iff `u` strictly reaches `v` (`u ≺_G v`).
     pub fn reaches(&self, u: usize, v: usize) -> bool {
         hls_obs::obs_count!(ReachPairProbes);
-        self.down[u * self.stride + self.chain[v] as usize] <= self.pos[v]
-    }
-
-    /// The `down` vector of `v`, one entry per chain: the lowest
-    /// position strictly reachable from `v`, or [`NO_DOWN`]. A vertex
-    /// set containing any chain-`c` member at position `≥ down[c]`
-    /// contains a strict descendant of `v`.
-    pub fn down_row(&self, v: usize) -> &[Pos] {
-        &self.down[v * self.stride..v * self.stride + self.chains]
-    }
-
-    /// The `up` vector of `v`: the highest chain position strictly
-    /// reaching `v`, or [`NO_UP`] — the mirror of
-    /// [`ReachIndex::down_row`].
-    pub fn up_row(&self, v: usize) -> &[Pos] {
-        &self.up[v * self.stride..v * self.stride + self.chains]
-    }
-
-    /// Builds the [`ChainExtrema`] of an ad-hoc vertex set.
-    pub fn extrema(&self, set: impl IntoIterator<Item = usize>) -> ChainExtrema {
-        let mut ex = ChainExtrema::empty(self);
-        for v in set {
-            ex.insert(self, v);
-        }
-        ex
-    }
-
-    /// `true` iff some member of the set behind `ex` strictly reaches
-    /// `v`. `O(#chains)`: a chain's minimum member reaches everything
-    /// any member of that chain reaches, so chain `c` contributes an
-    /// ancestor exactly when `ex.min_of(c) ≤ up[v][c]`.
-    pub fn set_reaches(&self, ex: &ChainExtrema, v: usize) -> bool {
-        hls_obs::obs_count!(ReachSetProbes);
-        debug_assert_eq!(
-            ex.min.len(),
-            self.chains,
-            "extrema must be synced to the index (sync_chain_count after grow)"
-        );
-        kernels::any_le(&ex.min, self.up_row(v))
-    }
-
-    /// `true` iff some member of the set behind `ex` is strictly
-    /// reached by `v` — the mirror of [`ReachIndex::set_reaches`]
-    /// against the per-chain maxima and the `down` vector.
-    pub fn set_reached_by(&self, ex: &ChainExtrema, v: usize) -> bool {
-        hls_obs::obs_count!(ReachSetProbes);
-        debug_assert_eq!(
-            ex.max.len(),
-            self.chains,
-            "extrema must be synced to the index (sync_chain_count after grow)"
-        );
-        kernels::any_le(self.down_row(v), &ex.max)
-    }
-
-    /// Absorbs vertices appended to `g` since the index was built or
-    /// last grown (refinement splices, ECO ops — the mutation API only
-    /// appends). New vertices are covered by fresh chains following
-    /// their forward edges, seeded from their neighbours' vectors, and
-    /// the existing entries are repaired by a *localized* min/max
-    /// relaxation: only vertices whose vectors actually change are
-    /// visited (all new reachability routes through the new vertices,
-    /// and every affected ancestor/descendant strictly improves in a
-    /// fresh-chain column, so the worklist reaches exactly the affected
-    /// cone).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grown graph exceeds the index's capacity; use
-    /// [`ReachIndex::try_grow`] for a fallible variant.
-    pub fn grow(&mut self, g: &PrecedenceGraph) {
-        if let Err(e) = self.try_grow(g) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`ReachIndex::grow`] — the growth analogue of
-    /// [`ReachIndex::try_build`]. On `Err` the index is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`CapacityError`] when a capacity limit is exceeded.
-    pub fn try_grow(&mut self, g: &PrecedenceGraph) -> Result<(), CapacityError> {
-        let old = self.n;
-        let new = g.len();
-        if new == old {
-            return Ok(());
-        }
-        // Check the worst-case post-growth table up front (stride at
-        // most doubles or becomes #chains ≤ |V|) so a failure leaves
-        // the index untouched.
-        capacity_check(new, self.stride.saturating_mul(2).max(new).max(1))?;
-        let old_chains = self.chains;
-        self.chain.resize(new, u32::MAX);
-        self.pos.resize(new, 0);
-        for w in old..new {
-            if self.chain[w] != u32::MAX {
-                continue;
-            }
-            // New chains extend greedily along edges, and only through
-            // this batch's vertices: old vertices are already covered.
-            self.cover_path(w, |chain, cur| {
-                g.succs(OpId::from_index(cur))
-                    .iter()
-                    .map(|s| s.index())
-                    .find(|&s| s >= old && chain[s] == u32::MAX)
-            });
-        }
-        self.chains = self.chain_len.len();
-        self.n = new;
-        if self.chains > self.stride {
-            let old_stride = self.stride;
-            let stride = (old_stride * 2).max(self.chains);
-            let relayout = |tab: &mut Vec<Pos>, fill: Pos| {
-                let mut next = vec![fill; new * stride];
-                for i in 0..old {
-                    next[i * stride..i * stride + old_chains]
-                        .copy_from_slice(&tab[i * old_stride..i * old_stride + old_chains]);
-                }
-                *tab = next;
-            };
-            relayout(&mut self.down, NO_DOWN);
-            relayout(&mut self.up, NO_UP);
-            self.stride = stride;
-        } else {
-            self.down.resize(new * self.stride, NO_DOWN);
-            self.up.resize(new * self.stride, NO_UP);
-        }
-        // Seed the new vertices from their direct neighbours. Edges of
-        // a growth batch run forward (old → new, new → higher-new,
-        // new → old), so a reverse pass finalises `down` seeds and a
-        // forward pass `up` seeds; any residual staleness is closed by
-        // the relaxation below.
-        let mut buf = vec![0 as Pos; self.chains];
-        for w in (old..new).rev() {
-            for &s in g.succs(OpId::from_index(w)) {
-                self.refl_down_into(s.index(), &mut buf);
-                min_into(self.down_row_mut(w), &buf);
-            }
-        }
-        for w in old..new {
-            for &p in g.preds(OpId::from_index(w)) {
-                self.refl_up_into(p.index(), &mut buf);
-                max_into(self.up_row_mut(w), &buf);
-            }
-        }
-        // Backward min-relaxation: every vertex gaining reachability
-        // gains it through a new vertex, so propagating the (reflexive)
-        // down vectors of the new vertices to fixpoint repairs exactly
-        // the affected backward cone.
-        let mut queue: Vec<u32> = (old as u32..new as u32).collect();
-        while let Some(x) = queue.pop() {
-            self.refl_down_into(x as usize, &mut buf);
-            for &p in g.preds(OpId::from_index(x as usize)) {
-                if min_into(self.down_row_mut(p.index()), &buf) {
-                    queue.push(p.index() as u32);
-                }
-            }
-        }
-        // Forward max-relaxation for `up`, mirrored.
-        let mut queue: Vec<u32> = (old as u32..new as u32).collect();
-        while let Some(x) = queue.pop() {
-            self.refl_up_into(x as usize, &mut buf);
-            for &s in g.succs(OpId::from_index(x as usize)) {
-                if max_into(self.up_row_mut(s.index()), &buf) {
-                    queue.push(s.index() as u32);
-                }
-            }
-        }
-        Ok(())
+        self.down[u * self.chains + self.chain[v] as usize] <= self.pos[v]
     }
 
     /// Verifies the index against the dense closures of `g` — the
@@ -554,15 +313,11 @@ impl ReachIndex {
     // ------------------------------------------------------------------
 
     /// Covers one path starting at `head`: assigns chain ids and
-    /// 1-based positions along the vertices yielded by `next` (which
-    /// sees the current chain-assignment table and the current vertex),
+    /// 1-based positions along the vertices yielded by `next` (the
+    /// successor of the current vertex on the path),
     /// splitting at [`MAX_POS`] members so positions always fit
     /// [`Pos`] — a path prefix is still a valid chain.
-    fn cover_path(
-        &mut self,
-        head: usize,
-        mut next: impl FnMut(&[u32], usize) -> Option<usize>,
-    ) {
+    fn cover_path(&mut self, head: usize, mut next: impl FnMut(usize) -> Option<usize>) {
         let mut c = self.chain_len.len() as u32;
         let mut cur = head;
         let mut p = 0u32;
@@ -580,7 +335,7 @@ impl ReachIndex {
             debug_assert!(p as Pos > NO_UP && (p as Pos) < NO_DOWN);
             self.chain[cur] = c;
             self.pos[cur] = p as Pos;
-            match next(&self.chain, cur) {
+            match next(cur) {
                 Some(s) => cur = s,
                 None => break,
             }
@@ -588,12 +343,24 @@ impl ReachIndex {
         self.chain_len.push(p as Pos);
     }
 
+    /// The `down` vector of `v`, one entry per chain: the lowest
+    /// position strictly reachable from `v`, or [`NO_DOWN`].
+    fn down_row(&self, v: usize) -> &[Pos] {
+        &self.down[v * self.chains..(v + 1) * self.chains]
+    }
+
+    /// The `up` vector of `v`: the highest chain position strictly
+    /// reaching `v`, or [`NO_UP`].
+    fn up_row(&self, v: usize) -> &[Pos] {
+        &self.up[v * self.chains..(v + 1) * self.chains]
+    }
+
     fn down_row_mut(&mut self, v: usize) -> &mut [Pos] {
-        &mut self.down[v * self.stride..v * self.stride + self.chains]
+        &mut self.down[v * self.chains..(v + 1) * self.chains]
     }
 
     fn up_row_mut(&mut self, v: usize) -> &mut [Pos] {
-        &mut self.up[v * self.stride..v * self.stride + self.chains]
+        &mut self.up[v * self.chains..(v + 1) * self.chains]
     }
 
     /// Copies the *reflexive* down vector of `v` into `buf`: `down[v]`
@@ -701,9 +468,9 @@ pub use kernels::{max_into, min_into};
 
 /// Word-parallel (SWAR) kernels over the `u16` extremum rows.
 ///
-/// Every row walk the index performs — the build/grow min/max
-/// relaxations and the `O(#chains)` set probes — reduces to an
-/// elementwise `min`/`max`/`≤` over two `u16` vectors. These kernels
+/// Every row walk the index build performs reduces to an elementwise
+/// `min`/`max` over two `u16` vectors, and an existential row
+/// comparison to an elementwise `≤`. These kernels
 /// process **4 lanes per iteration** by packing four positions into one
 /// `u64` and doing per-lane unsigned comparison with plain integer
 /// arithmetic, so they run on stable Rust with no `unsafe` and no
@@ -824,12 +591,9 @@ pub mod kernels {
         changed
     }
 
-    /// `true` iff some lane has `a[i] ≤ b[i]` — the shared body of the
-    /// two set probes ([`super::ReachIndex::set_reaches`] is
-    /// `any_le(min, up_row)`; [`super::ReachIndex::set_reached_by`] is
-    /// `any_le(down_row, max)`). The all-false case — the common one
-    /// while a probe's answer is "no" — runs the full row at 4 lanes
-    /// per iteration with no data-dependent branches.
+    /// `true` iff some lane has `a[i] ≤ b[i]`. The all-false case runs
+    /// the full row at 4 lanes per iteration with no data-dependent
+    /// branches.
     pub fn any_le(a: &[Pos], b: &[Pos]) -> bool {
         let n = a.len().min(b.len());
         let mut i = 0;
@@ -954,110 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_absorbs_a_splice() {
-        let (mut g, [a, b, _c, d]) = diamond();
-        let mut idx = ReachIndex::build(&g);
-        let inserted = g
-            .splice_on_edge(
-                a,
-                b,
-                [
-                    (OpKind::WireDelay, 1, "w0".to_string()),
-                    (OpKind::WireDelay, 1, "w1".to_string()),
-                ],
-            )
-            .unwrap();
-        idx.grow(&g);
-        idx.check(&g).unwrap();
-        assert!(idx.reaches(a.index(), inserted[0].index()));
-        assert!(idx.reaches(inserted[0].index(), inserted[1].index()));
-        assert!(idx.reaches(inserted[1].index(), d.index()));
-        assert!(!idx.reaches(inserted[0].index(), a.index()));
-        // The spliced pair forms one new chain.
-        assert_eq!(idx.chain_of(inserted[0].index()), idx.chain_of(inserted[1].index()));
-    }
-
-    #[test]
-    fn grow_absorbs_an_eco_op_bridging_old_vertices() {
-        // b and c are incomparable; an added op b -> x -> c creates the
-        // new old-to-old reachability b ≺ c that must propagate to b's
-        // ancestors.
-        let (mut g, [a, b, c, d]) = diamond();
-        let mut idx = ReachIndex::build(&g);
-        assert!(!idx.reaches(b.index(), c.index()));
-        let x = g.add_op(OpKind::Add, 1, "x");
-        g.add_edge(b, x).unwrap();
-        g.add_edge(x, c).unwrap();
-        idx.grow(&g);
-        idx.check(&g).unwrap();
-        assert!(idx.reaches(b.index(), c.index()), "new path b -> x -> c");
-        assert!(idx.reaches(a.index(), x.index()), "ancestors learn the new vertex");
-        assert!(idx.reaches(x.index(), d.index()));
-    }
-
-    #[test]
-    fn repeated_grows_stay_exact() {
-        let (mut g, [a, _b, c, d]) = diamond();
-        let mut idx = ReachIndex::build(&g);
-        // Enough batches to force several stride doublings.
-        let mut last = c;
-        for i in 0..10 {
-            let w = g.add_op(OpKind::WireDelay, 1, format!("w{i}"));
-            g.add_edge(last, w).unwrap();
-            g.add_edge(w, d).unwrap();
-            idx.grow(&g);
-            idx.check(&g).unwrap();
-            assert!(idx.reaches(a.index(), w.index()));
-            last = w;
-        }
-        assert_eq!(idx.len(), g.len());
-    }
-
-    #[test]
-    fn set_probes_match_the_dense_closure() {
-        let (g, ids) = {
-            let (g, ids) = diamond();
-            (g, ids.to_vec())
-        };
-        let idx = ReachIndex::build(&g);
-        let (anc, desc) = crate::algo::closures(&g);
-        // Every nonempty subset of the 4 vertices, both probes, every
-        // probe vertex — exhaustive against the dense oracle.
-        for bits in 1u32..16 {
-            let set: Vec<usize> = (0..4).filter(|i| bits & (1 << i) != 0).collect();
-            let ex = idx.extrema(set.iter().copied());
-            for v in 0..4 {
-                let want_anc = set.iter().any(|&u| desc.get(u, v));
-                let want_desc = set.iter().any(|&u| anc.get(u, v));
-                assert_eq!(idx.set_reaches(&ex, v), want_anc, "set {set:?} reaches {v}");
-                assert_eq!(idx.set_reached_by(&ex, v), want_desc, "set {set:?} reached by {v}");
-            }
-        }
-        let _ = ids;
-    }
-
-    #[test]
-    fn extrema_track_grow_and_incremental_inserts() {
-        let (mut g, [a, b, _c, d]) = diamond();
-        let mut idx = ReachIndex::build(&g);
-        let mut ex = ChainExtrema::empty(&idx);
-        ex.insert(&idx, a.index());
-        assert!(idx.set_reaches(&ex, d.index()));
-        assert!(!idx.set_reaches(&ex, a.index()), "strict: a does not reach itself");
-        // Grow the graph; the extrema must resize before further use.
-        let x = g.add_op(OpKind::Add, 1, "x");
-        g.add_edge(b, x).unwrap();
-        idx.grow(&g);
-        ex.sync_chain_count(&idx);
-        assert_eq!(ex.chain_count(), idx.chain_count());
-        assert!(idx.set_reaches(&ex, x.index()), "a reaches the new vertex");
-        // Incremental inserts agree with the batch constructor.
-        ex.insert(&idx, x.index());
-        let batch = idx.extrema([a.index(), x.index()]);
-        assert_eq!(ex, batch);
-    }
-
-    #[test]
     fn chain_split_at_the_u16_boundary_keeps_reachability_exact() {
         // A path one longer than the largest single chain: MAX_POS + 2
         // vertices force a split into exactly two chains, with the
@@ -1085,10 +745,6 @@ mod tests {
         assert!(idx.reaches(first, after));
         assert!(!idx.reaches(after, boundary));
         assert!(!idx.reaches(last, first));
-        // Set probes see through the split too.
-        let ex = idx.extrema([first]);
-        assert!(idx.set_reaches(&ex, last));
-        assert!(!idx.set_reached_by(&ex, last));
     }
 
     #[test]
@@ -1123,40 +779,13 @@ mod tests {
         assert_eq!(idx.up_row(first)[0], NO_UP);
         assert_eq!(idx.down_row(last)[0], NO_DOWN);
         assert_eq!(idx.up_row(last)[0] as u32, MAX_POS - 1);
-        // Set probes with each endpoint as the singleton set: min/max
-        // at the saturated position must compare correctly against the
-        // sentinels on the far side.
-        let head_ex = idx.extrema([first]);
-        assert!(idx.set_reaches(&head_ex, last), "head (min = 1) reaches the boundary member");
-        assert!(!idx.set_reached_by(&head_ex, last));
-        let tail_ex = idx.extrema([last]);
-        assert_eq!(tail_ex.min_of(0) as u32, MAX_POS);
-        assert_eq!(tail_ex.max_of(0) as u32, MAX_POS);
-        assert!(idx.set_reached_by(&tail_ex, first), "head is reached by the boundary member");
-        assert!(!idx.set_reaches(&tail_ex, first));
         // One more vertex would split: pin the transition too.
         let next = g.add_op(OpKind::Add, 1, "overflow");
         g.add_edge(ids[n - 1], next).unwrap();
-        let mut idx2 = ReachIndex::try_build(&g).unwrap();
+        let idx2 = ReachIndex::try_build(&g).unwrap();
         assert_eq!(idx2.chain_count(), 2, "the 65535th member starts a fresh chain");
         assert_eq!(idx2.pos_of(next.index()), 1);
         assert!(idx2.reaches(first, next.index()));
-        // And grow() across the boundary agrees with a fresh build.
-        let mut grown = ReachIndex::try_build(&{
-            let mut base = PrecedenceGraph::new();
-            let ids2: Vec<OpId> =
-                (0..n).map(|i| base.add_op(OpKind::Add, 1, format!("n{i}"))).collect();
-            for w in ids2.windows(2) {
-                base.add_edge(w[0], w[1]).unwrap();
-            }
-            base
-        })
-        .unwrap();
-        grown.try_grow(&g).unwrap();
-        assert!(grown.reaches(first, next.index()));
-        assert!(!grown.reaches(next.index(), first));
-        assert_eq!(grown.pos_of(last) as u32, MAX_POS);
-        let _ = idx2.try_grow(&g);
     }
 
     /// In-module spot checks of the word-parallel kernels; the ragged
@@ -1201,24 +830,5 @@ mod tests {
         // Ordinary graphs are untouched by the guard.
         let (g, _) = diamond();
         assert!(ReachIndex::try_build(&g).is_ok());
-        let mut idx = ReachIndex::try_build(&g).unwrap();
-        assert!(idx.try_grow(&g).is_ok(), "no-op grow stays Ok");
-    }
-
-    #[test]
-    fn probe_rows_encode_set_membership() {
-        let (g, [a, b, _c, d]) = diamond();
-        let idx = ReachIndex::build(&g);
-        // "Does a reach anything in {d}": d's coordinate is at or after
-        // a's down entry for d's chain.
-        let dc = idx.chain_of(d.index());
-        assert!(idx.down_row(a.index())[dc] <= idx.pos_of(d.index()));
-        // "Does anything in {a} reach b": a's coordinate is at or
-        // before b's up entry for a's chain.
-        let ac = idx.chain_of(a.index());
-        assert!(idx.up_row(b.index())[ac] >= idx.pos_of(a.index()));
-        // Sources have all-NO_UP rows; sinks all-NO_DOWN.
-        assert!(idx.up_row(a.index()).iter().all(|&u| u == NO_UP));
-        assert!(idx.down_row(d.index()).iter().all(|&x| x == NO_DOWN));
     }
 }

@@ -23,8 +23,6 @@ pub enum Counter {
     CommitCalls,
     /// Single pair reachability probes against the reach index.
     ReachPairProbes,
-    /// Set-vs-node reachability probes (SWAR kernels).
-    ReachSetProbes,
     /// Portfolio strategies spawned into a race.
     StrategySpawned,
     /// Strategies aborted because an incumbent already won.
@@ -68,7 +66,6 @@ impl Counter {
         Counter::SelectCalls,
         Counter::CommitCalls,
         Counter::ReachPairProbes,
-        Counter::ReachSetProbes,
         Counter::StrategySpawned,
         Counter::StrategyAborted,
         Counter::StrategyTimedOut,
@@ -93,7 +90,6 @@ impl Counter {
             Counter::SelectCalls => "select_calls",
             Counter::CommitCalls => "commit_calls",
             Counter::ReachPairProbes => "reach_pair_probes",
-            Counter::ReachSetProbes => "reach_set_probes",
             Counter::StrategySpawned => "strategy_spawned",
             Counter::StrategyAborted => "strategy_aborted",
             Counter::StrategyTimedOut => "strategy_timed_out",

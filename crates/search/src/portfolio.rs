@@ -141,8 +141,8 @@ fn race_with_verdict(
     }
     // Every run starts from the same pristine state; building it once
     // and cloning (one clone per worker, then one per run) pays the
-    // graph validation, chain-cover decomposition, sink-distance
-    // sweep and resource floor once instead of once per candidate.
+    // graph validation, sink-distance sweep and resource floor once
+    // instead of once per candidate.
     let template = ThreadedScheduler::new(g.clone(), resources.clone())?;
     if candidates.is_empty() {
         let outcome = RaceOutcome {

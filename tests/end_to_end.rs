@@ -218,7 +218,7 @@ fn pipelined_flow_reports_a_certified_ii_end_to_end() {
 fn portfolio_winner_supports_further_refinement() {
     // The winner is a live soft scheduler: post-portfolio ECO
     // refinement (the paper's Figure 1 scenario) must keep working on
-    // it, including the incremental reach-index repair.
+    // it, including the growth of its scheduled-cone bits.
     let g = bench_graphs::ewf();
     let r = ResourceSet::classic(2, 2);
     let out = run_portfolio(&g, &r, &PortfolioConfig::default(), &soft_hls::ir::Budget::NONE)
