@@ -15,7 +15,8 @@ use std::process::exit;
 use std::time::{Duration, Instant};
 
 use hls_bench::artifact::{self, json_number, Json};
-use hls_bench::complexity::{fit_exponent, report_scaling, scaling_sweep, sweep_config};
+use hls_bench::complexity::{fit_exponent, flow_sweep, report_flow, report_scaling};
+use hls_bench::complexity::{scaling_sweep, sweep_config, FLOW_SEEDS};
 use hls_bench::mem::{self, CountingAlloc};
 use hls_bench::microbench::{bench_kernels, bench_probes, bench_select_commit, check_wall_100k};
 use hls_bench::portfolio::{fig3_portfolio, fig3_report};
@@ -39,7 +40,8 @@ paper tables (no flags):
 
 studies (--quick shrinks the run for CI smokes and is recorded in the
 artifact; --out overrides the default artifact path):
-  scaling [--sizes N,N,..]  BENCH_2.json  schedule_all wall + peak heap vs the frozen seed
+  scaling [--sizes N,N,..]  BENCH_2.json  schedule_all wall + peak heap vs the frozen seed,
+                                          plus the default flow at 150-800 ops
   portfolio                 BENCH_3.json  parallel portfolio quality + thread sweep
   modulo                    BENCH_4.json  achieved II vs certified MII
   serve                     BENCH_5.json  daemon load sweep + schedule cache
@@ -227,6 +229,21 @@ fn scaling(cli: &Cli) -> Json {
             "diameter": p.diameter, "peak_alloc_bytes": p.peak_bytes,
         }
     });
+
+    // The flow row: `--sizes` sets the engine sweep only.
+    let flow_sizes: &[usize] = if cli.quick {
+        &[150, 250]
+    } else {
+        &[150, 250, 400, 800]
+    };
+    let flow = flow_sweep(flow_sizes);
+    print!("{}", report_flow(&flow));
+    let flow_fit: Vec<(usize, u128)> = flow.iter().map(|p| (p.ops, p.flow_us)).collect();
+    let flow_slope = fit_exponent(&flow_fit);
+    println!("fitted scaling exponent (flow): {flow_slope:.3}");
+    let flow_rows = flow.iter().map(|p| {
+        obj! { "ops": p.ops, "flow_us": p.flow_us, "wire_delays": p.wire_delays, "states": p.states }
+    });
     obj! {
         "pr": 2u32,
         "subject": "schedule_all wall time + peak heap growth of the incremental engine \
@@ -236,6 +253,14 @@ fn scaling(cli: &Cli) -> Json {
         "fitted_exponent_optimized": Json::fixed(slope, 4),
         "headline_speedup": headline.map(|s| Json::fixed(s, 2)),
         "points": rows.collect::<Vec<_>>(),
+        "flow": obj! {
+            "workload": format!(
+                "default run_flow on stress_dag seeds {}..{}, times summed per size",
+                FLOW_SEEDS.start, FLOW_SEEDS.end
+            ),
+            "fitted_exponent": Json::fixed(flow_slope, 4),
+            "points": flow_rows.collect::<Vec<_>>(),
+        },
     }
 }
 

@@ -218,6 +218,78 @@ pub fn scaling_sweep(sizes: &[usize], reference_cutoff: usize) -> Vec<ScalePoint
         .collect()
 }
 
+/// One size of the flow row of the scaling study: the default
+/// [`hls_flow::run_flow`] (list-based schedule, placement, wire-delay
+/// absorption, FSMD) over [`FLOW_SEEDS`] `stress_dag` designs.
+#[derive(Clone, Debug)]
+pub struct FlowPoint {
+    /// Operations per design as generated.
+    pub ops: usize,
+    /// Flow wall time summed over the designs, microseconds.
+    pub flow_us: u128,
+    /// Wire delays absorbed, summed over the designs: each is one
+    /// splice into the finished state.
+    pub wire_delays: usize,
+    /// Final schedule lengths, summed over the designs.
+    pub states: u64,
+}
+
+/// `stress_dag` seeds of each flow-row size.
+pub const FLOW_SEEDS: std::ops::Range<u64> = 0..5;
+
+/// Times the default flow over the [`FLOW_SEEDS`] designs of every
+/// size. Wire-delay absorption dominates it at a few hundred ops, so
+/// its fitted exponent shows whether a splice costs its cone or the
+/// design.
+///
+/// # Panics
+///
+/// Panics if a flow fails (cannot happen: the default allocation runs
+/// every op kind `stress_dag` emits).
+pub fn flow_sweep(sizes: &[usize]) -> Vec<FlowPoint> {
+    let config = hls_flow::FlowConfig::default();
+    sizes
+        .iter()
+        .map(|&ops| {
+            let mut point = FlowPoint {
+                ops,
+                flow_us: 0,
+                wire_delays: 0,
+                states: 0,
+            };
+            for seed in FLOW_SEEDS {
+                let g = generate::stress_dag(seed, ops);
+                let t0 = Instant::now();
+                let out = hls_flow::run_flow(g, &config).expect("default flow succeeds");
+                point.flow_us += t0.elapsed().as_micros();
+                point.wire_delays += out.report.wire_delays;
+                point.states += out.report.final_states;
+            }
+            point
+        })
+        .collect()
+}
+
+/// Formats the flow row.
+pub fn report_flow(points: &[FlowPoint]) -> String {
+    let header = ["|V|", "designs", "flow (us)", "wire delays", "states"]
+        .map(String::from)
+        .to_vec();
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                p.ops.to_string(),
+                FLOW_SEEDS.count().to_string(),
+                p.flow_us.to_string(),
+                p.wire_delays.to_string(),
+                p.states.to_string(),
+            ]
+        })
+        .collect();
+    crate::render_table(&header, &rows)
+}
+
 /// Least-squares slope of `ln(time)` against `ln(ops)` — the empirical
 /// scaling exponent of a sweep (1.0 = linear, 2.0 = quadratic).
 pub fn fit_exponent(points: &[(usize, u128)]) -> f64 {
@@ -306,6 +378,14 @@ mod tests {
         assert!(pts.iter().all(|p| p.diameter > 0));
         let text = report_scaling(&pts);
         assert!(text.contains("speedup"));
+    }
+
+    #[test]
+    fn flow_row_absorbs_wire_delays() {
+        let pts = flow_sweep(&[60]);
+        assert_eq!(pts[0].ops, 60);
+        assert!(pts[0].wire_delays > 0 && pts[0].states > 0);
+        assert!(report_flow(&pts).contains("wire delays"));
     }
 
     #[test]

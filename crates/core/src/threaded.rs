@@ -42,7 +42,10 @@
 //!   never unscheduled, so each bit only ever turns on: a commit marks
 //!   the new op's cone, a growth marks the new ops from their
 //!   neighbours, and every walk stops at ops already marked, so a
-//!   whole run costs `O(|V| + |E|)` (see `DESIGN.md` §5).
+//!   whole run costs `O(|V| + |E|)` (see `DESIGN.md` §5);
+//! * behavior growth (splice, ECO op) raises the static sink distances
+//!   and the lower-bound caches over the new ops' backward cone only,
+//!   so absorbing a wire delay costs its cone, not the design.
 //!
 //! The golden-equivalence suite (`tests/golden_equivalence.rs`) pins the
 //! observable behavior — placement sequences and extracted schedules —
@@ -50,7 +53,8 @@
 
 use crate::{SchedError, soft::StateSnapshot};
 use hls_ir::{
-    HardSchedule, OpId, OpKind, Operand, PrecedenceGraph, ReachIndex, ResourceClass, ResourceSet,
+    HardSchedule, KindWork, OpId, OpKind, Operand, PrecedenceGraph, ReachIndex, ResourceClass,
+    ResourceSet,
 };
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -149,11 +153,12 @@ impl Iterator for Walk<'_> {
     }
 }
 
-/// The immutable graph-side state of a scheduler: the behavior graph
-/// and its static sink distances. Everything in here is a pure function
-/// of the *behavior* — it never changes while operations are merely
-/// scheduled, only under behavior-extending refinement (splice,
-/// add-op, retype). The scheduler holds it behind an [`Arc`] so clones
+/// The immutable graph-side state of a scheduler: the behavior graph,
+/// its static sink distances and its per-kind delay sums. Everything
+/// in here is a pure function of the *behavior* — it never changes
+/// while operations are merely scheduled, only under
+/// behavior-extending refinement (splice, add-op, retype). The
+/// scheduler holds it behind an [`Arc`] so clones
 /// (portfolio runs, parallel-stitch materialisation, serve-cache
 /// templates) share one copy; refinement goes through
 /// [`Arc::make_mut`] copy-on-write.
@@ -162,9 +167,15 @@ struct GraphCore {
     g: PrecedenceGraph,
     /// Static behavior-graph sink distances `‖v→‖_G` (inclusive),
     /// indexed by op — the tail term of the final-diameter lower
-    /// bound. Recomputed on graph growth and delay retyping (cold
-    /// paths).
+    /// bound. Graph growth only adds paths, so it raises these in
+    /// place over the new ops' backward cone
+    /// ([`ThreadedScheduler::sync_graph_growth`]); delay retyping,
+    /// which can lower them, recomputes them
+    /// ([`ThreadedScheduler::refresh_proj`]).
     gdist: Vec<u64>,
+    /// [`hls_ir::kind_work`] of `g`, kept current the same way: the
+    /// input of the cached resource floor.
+    work: KindWork,
 }
 
 /// `(sdist, tdist, reach_b, reach_f)` of a from-scratch recomputation.
@@ -366,12 +377,13 @@ impl ThreadedScheduler {
     pub fn new(g: PrecedenceGraph, resources: ResourceSet) -> Result<Self, SchedError> {
         g.validate()?;
         let gdist = hls_ir::algo::sink_distances(&g);
+        let work = hls_ir::kind_work(&g);
         let k = resources.k();
         let mut ts = ThreadedScheduler {
             node_of: vec![None; g.len()],
             has_sched_anc: vec![false; g.len()],
             has_sched_desc: vec![false; g.len()],
-            core: Arc::new(GraphCore { g, gdist }),
+            core: Arc::new(GraphCore { g, gdist, work }),
             resources,
             diam: 0,
             proj: 0,
@@ -399,7 +411,7 @@ impl ThreadedScheduler {
             ts.sent_s.push(s_node);
             ts.sent_t.push(t_node);
         }
-        ts.res_floor = ts.resources.work_floor(&ts.core.g);
+        ts.res_floor = ts.resources.floor_of(&ts.core.work);
         Ok(ts)
     }
 
@@ -1027,9 +1039,17 @@ impl ThreadedScheduler {
     /// Adds a brand-new operation with the given dependencies to the
     /// behavior and schedules it (an engineering change / ECO).
     ///
+    /// The new edges close a cycle exactly when some of `succs`
+    /// reaches some of `preds`, so the check is a forward search from
+    /// `succs`: it costs their descendant cone, nothing for an op
+    /// without successors. Both checks run before the graph is
+    /// touched, so a rejected op leaves the state as it was.
+    ///
     /// # Errors
     ///
-    /// Returns [`SchedError::WouldCycle`] if the new edges close a cycle,
+    /// Returns [`SchedError::UnknownOp`] for an id in `preds` or
+    /// `succs` outside the graph and [`SchedError::WouldCycle`] (with
+    /// the id the op would have had) if the new edges close a cycle,
     /// plus the scheduling errors of [`ThreadedScheduler::schedule`].
     pub fn refine_add_op(
         &mut self,
@@ -1039,16 +1059,20 @@ impl ThreadedScheduler {
         preds: &[OpId],
         succs: &[OpId],
     ) -> Result<OpId, SchedError> {
+        let len = self.core.g.len();
+        if let Some(&u) = preds.iter().chain(succs).find(|u| u.index() >= len) {
+            return Err(SchedError::UnknownOp(u));
+        }
+        if self.reaches_any(succs, preds) {
+            return Err(SchedError::WouldCycle(OpId::from_index(len)));
+        }
         let core = Arc::make_mut(&mut self.core);
         let v = core.g.add_op(kind, delay, label);
         for &p in preds {
-            core.g.add_edge(p, v)?;
+            core.g.add_edge(p, v).expect("endpoints checked above");
         }
         for &q in succs {
-            core.g.add_edge(v, q)?;
-        }
-        if self.core.g.validate().is_err() {
-            return Err(SchedError::WouldCycle(v));
+            core.g.add_edge(v, q).expect("endpoints checked above");
         }
         self.sync_graph_growth();
         self.schedule(v)?;
@@ -1217,13 +1241,31 @@ impl ThreadedScheduler {
     ///
     /// The new kind must stay zero-resource (or match the thread the
     /// operation already occupies); this is the caller's contract.
+    /// Retyping several operations is one [`retype_ops`](Self::retype_ops)
+    /// call, which pays the from-scratch relabel once.
     pub fn retype_op(&mut self, v: OpId, kind: OpKind, delay: u64) {
+        self.retype_ops(&[(v, kind, delay)]);
+    }
+
+    /// [`retype_op`](Self::retype_op) for a batch of `(op, kind,
+    /// delay)` triples, relabelling the state once for all of them. An
+    /// empty batch changes nothing.
+    pub fn retype_ops(&mut self, retypes: &[(OpId, OpKind, u64)]) {
+        if retypes.is_empty() {
+            return;
+        }
         let core = Arc::make_mut(&mut self.core);
-        core.g.set_kind(v, kind);
-        core.g.set_delay(v, delay);
-        if let Some(n) = self.node_of[v.index()] {
-            self.total_delay = self.total_delay - self.nh[n as usize].delay + delay;
-            self.nh[n as usize].delay = delay;
+        let mut in_state = false;
+        for &(v, kind, delay) in retypes {
+            core.g.set_kind(v, kind);
+            core.g.set_delay(v, delay);
+            if let Some(n) = self.node_of[v.index()] {
+                self.total_delay = self.total_delay - self.nh[n as usize].delay + delay;
+                self.nh[n as usize].delay = delay;
+                in_state = true;
+            }
+        }
+        if in_state {
             // Delays may shrink, so increase-only propagation does not
             // apply; this cold path relabels from scratch (which also
             // refreshes the lower-bound caches).
@@ -1368,7 +1410,9 @@ impl ThreadedScheduler {
         if self.final_lower_bound() < self.diam {
             return Err("final lower bound below the diameter".to_string());
         }
-        if self.res_floor != self.resources.work_floor(&self.core.g) {
+        if self.core.work != hls_ir::kind_work(&self.core.g)
+            || self.res_floor != self.resources.work_floor(&self.core.g)
+        {
             return Err("stale resource floor".to_string());
         }
         for n in 0..n_nodes {
@@ -1834,15 +1878,19 @@ impl ThreadedScheduler {
     }
 
     /// Recomputes the static graph sink distances, the projection
-    /// maximum and the resource floor from scratch — the cold-path
-    /// companion of [`Self::relabel_full`] and
-    /// [`Self::sync_graph_growth`] (graph growth only raises `gdist`,
-    /// but delay retyping can shrink it, so the running maxima must be
-    /// rebuilt, not folded).
+    /// maximum and the resource floor from scratch, over the whole
+    /// graph. Only delay retyping needs it (through
+    /// [`Self::relabel_full`] or directly): a retyped delay can shrink
+    /// `gdist`, so the running maxima must be rebuilt, not folded.
+    /// Graph growth only raises them and takes the cone-sized path of
+    /// [`Self::sync_graph_growth`]. Counted as
+    /// [`hls_obs::Counter::ProjRefreshes`].
     fn refresh_proj(&mut self) {
+        hls_obs::obs_count!(ProjRefreshes);
         let core = Arc::make_mut(&mut self.core);
         core.gdist = hls_ir::algo::sink_distances(&core.g);
-        self.res_floor = self.resources.work_floor(&core.g);
+        core.work = hls_ir::kind_work(&core.g);
+        self.res_floor = self.resources.floor_of(&core.work);
         self.proj = 0;
         for n in 0..self.op_of.len() {
             self.note_proj(n);
@@ -2012,15 +2060,22 @@ impl ThreadedScheduler {
     }
 
     /// Absorbs behavior-graph growth (splices, ECO ops) into the
-    /// scheduler: resizes the op-indexed tables and sets the new ops'
-    /// scheduled-cone bits, replacing the seed's per-row dense-closure
-    /// surgery. Every new edge has a new (unscheduled) op at one end,
-    /// so a new op is marked when a neighbour on that side is
-    /// scheduled or marked, and the walk goes on from it into old ops
-    /// that gain a scheduled ancestor (descendant) through it. A new op
-    /// whose neighbour is marked only later, in id order (a spliced
+    /// scheduler in time proportional to the cone the growth touches:
+    /// resizes the op-indexed tables, sets the new ops'
+    /// scheduled-cone bits and raises the lower-bound caches.
+    ///
+    /// Every new edge has a new (unscheduled) op at one end, so a new
+    /// op is marked when a neighbour on that side is scheduled or
+    /// marked, and the walk goes on from it into old ops that gain a
+    /// scheduled ancestor (descendant) through it. A new op whose
+    /// neighbour is marked only later, in id order (a spliced
     /// `Store → Load` learns its scheduled descendant from the `Load`),
     /// is reached by that later walk instead.
+    ///
+    /// Growth only adds paths (a splice replaces an edge by a path
+    /// through it), so static sink distances only rise: see
+    /// [`Self::raise_gdist`]. The per-kind delay sums gain the new
+    /// ops' delays and the resource floor is re-folded from them.
     fn sync_graph_growth(&mut self) {
         let old = self.node_of.len();
         let new = self.core.g.len();
@@ -2046,7 +2101,78 @@ impl ThreadedScheduler {
                 }
             }
         }
-        self.refresh_proj();
+        self.raise_gdist(old);
+        let core = Arc::make_mut(&mut self.core);
+        for v in (old..new).map(OpId::from_index) {
+            core.work[core.g.kind(v) as usize] += core.g.delay(v);
+        }
+        self.res_floor = self.resources.floor_of(&core.work);
+    }
+
+    /// Gives the ops from id `old` on their static sink distance and
+    /// raises the distances their addition lengthens, folding every
+    /// raised *scheduled* op into `proj` (growth never lowers a
+    /// distance, so the running maximum stays exact). The new ops are
+    /// seeded in reverse id order — a spliced chain's later ops are
+    /// its successors — from their successors' current values, then a
+    /// backward relaxation from every new op goes through `preds` and
+    /// stops where a value does not rise: `O(cone)`, where the cone is
+    /// the set of ops whose distance changes.
+    fn raise_gdist(&mut self, old: usize) {
+        let core = Arc::make_mut(&mut self.core);
+        let (g, gdist) = (&core.g, &mut core.gdist);
+        gdist.resize(g.len(), 0);
+        let stack = &mut self.scratch.get_mut().stack;
+        stack.clear();
+        for v in (old..g.len()).rev().map(OpId::from_index) {
+            let tail = g.succs(v).iter().map(|q| gdist[q.index()]).max();
+            gdist[v.index()] = tail.unwrap_or(0) + g.delay(v);
+            stack.push(v.index() as u32);
+        }
+        while let Some(x) = stack.pop() {
+            let x = OpId::from_index(x as usize);
+            let dx = gdist[x.index()];
+            for &p in g.preds(x) {
+                let cand = dx + g.delay(p);
+                if cand > gdist[p.index()] {
+                    gdist[p.index()] = cand;
+                    if let Some(n) = self.node_of[p.index()] {
+                        let h = &self.nh[n as usize];
+                        self.proj = self.proj.max(h.sdist - h.delay + cand);
+                    }
+                    stack.push(p.index() as u32);
+                }
+            }
+        }
+    }
+
+    /// `true` if some op of `from` reaches (or is) some op of `to` in
+    /// the behavior graph. A forward search from `from` over its
+    /// descendant cone, stamped with a fresh scratch epoch.
+    fn reaches_any(&self, from: &[OpId], to: &[OpId]) -> bool {
+        if from.is_empty() || to.is_empty() {
+            return false;
+        }
+        let g = &self.core.g;
+        let sc = &mut *self.scratch.borrow_mut();
+        self.prep_scratch(sc);
+        let e = sc.epoch;
+        sc.stack.clear();
+        for &u in from {
+            if sc.op_seen[u.index()] != e {
+                sc.op_seen[u.index()] = e;
+                sc.stack.push(u.index() as u32);
+            }
+        }
+        while let Some(x) = sc.stack.pop() {
+            for &y in g.succs(OpId::from_index(x as usize)) {
+                if sc.op_seen[y.index()] != e {
+                    sc.op_seen[y.index()] = e;
+                    sc.stack.push(y.index() as u32);
+                }
+            }
+        }
+        to.iter().any(|u| sc.op_seen[u.index()] == e)
     }
 }
 
@@ -2466,8 +2592,23 @@ mod tests {
     fn refine_add_op_rejects_cycles() {
         let (mut ts, v) = fig1_scheduler();
         ts.schedule_all(v).unwrap();
+        let len = ts.graph().len();
         let err = ts.refine_add_op(OpKind::Add, 1, "bad", &[v[6]], &[v[0]]);
+        assert_eq!(err, Err(SchedError::WouldCycle(OpId::from_index(len))));
+        let err = ts.refine_add_op(OpKind::Add, 1, "loop", &[v[2]], &[v[2]]);
         assert!(matches!(err, Err(SchedError::WouldCycle(_))));
+        let unknown = OpId::from_index(len + 5);
+        let err = ts.refine_add_op(OpKind::Add, 1, "far", &[v[0]], &[unknown]);
+        assert_eq!(err, Err(SchedError::UnknownOp(unknown)));
+        // A rejection leaves the state as it was, so a valid ECO op
+        // still goes in.
+        assert_eq!(ts.graph().len(), len);
+        ts.check_invariants().unwrap();
+        let ok = ts
+            .refine_add_op(OpKind::Add, 1, "ok", &[v[0]], &[v[6]])
+            .unwrap();
+        assert_eq!(ok, OpId::from_index(len));
+        ts.check_invariants().unwrap();
     }
 
     #[test]

@@ -516,30 +516,33 @@ fn finish_flow(
     let ls = lifetimes::lifetimes(ts.graph(), &hard)
         .map_err(|e| FlowError::Lifetime(e.to_string()))?;
     let regs = left_edge::allocate(&ls);
-    let mut phis_to_moves = 0usize;
-    let mut phis_voided = 0usize;
-    let phi_ops: Vec<_> = ts
-        .graph()
+    // Each decision reads only the allocation above and the φ's
+    // predecessors, which retyping leaves alone, so all are made
+    // first and the state is relabelled once for the whole batch.
+    let g = ts.graph();
+    let retypes: Vec<_> = g
         .op_ids()
-        .filter(|&v| ts.graph().kind(v) == OpKind::Phi)
+        .filter(|&phi| g.kind(phi) == OpKind::Phi)
+        .map(|phi| {
+            // Data sources are every predecessor that produces a value
+            // (the condition also feeds the φ; it selects, it is not
+            // data — but for register comparison only value sources
+            // matter).
+            let regs_of: Vec<Option<usize>> =
+                g.preds(phi).iter().map(|&p| regs.register_of(p)).collect();
+            let all_same = regs_of.len() >= 2
+                && regs_of.iter().skip(1).all(|r| *r == regs_of[1])
+                && regs_of[1].is_some();
+            if all_same {
+                (phi, OpKind::Nop, 0)
+            } else {
+                (phi, OpKind::Move, config.delays.delay_of(OpKind::Move))
+            }
+        })
         .collect();
-    for phi in phi_ops {
-        // Data sources are every predecessor that produces a value
-        // (the condition also feeds the φ; it selects, it is not data —
-        // but for register comparison only value sources matter).
-        let srcs: Vec<_> = ts.graph().preds(phi).to_vec();
-        let regs_of: Vec<Option<usize>> = srcs.iter().map(|&p| regs.register_of(p)).collect();
-        let all_same = regs_of.len() >= 2
-            && regs_of.iter().skip(1).all(|r| *r == regs_of[1])
-            && regs_of[1].is_some();
-        if all_same {
-            ts.retype_op(phi, OpKind::Nop, 0);
-            phis_voided += 1;
-        } else {
-            ts.retype_op(phi, OpKind::Move, config.delays.delay_of(OpKind::Move));
-            phis_to_moves += 1;
-        }
-    }
+    let phis_voided = retypes.iter().filter(|r| r.1 == OpKind::Nop).count();
+    let phis_to_moves = retypes.len() - phis_voided;
+    ts.retype_ops(&retypes);
 
     drop(phi_span);
 

@@ -60,7 +60,7 @@ pub use graph::{DistEdgeIter, EdgeIter, OpId, OpIdIter, Operand, PrecedenceGraph
 pub use partition::{Partition, PartitionConfig};
 pub use reach::{CapacityError, ReachIndex};
 pub use op::{DelayModel, OpKind, ResourceClass};
-pub use resources::ResourceSet;
+pub use resources::{kind_work, KindWork, ResourceSet};
 pub use schedule::{HardSchedule, ModuloError, ModuloSchedule, ScheduleError};
 
 use std::error::Error;

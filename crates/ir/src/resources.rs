@@ -9,6 +9,19 @@
 use crate::{OpKind, PrecedenceGraph, ResourceClass};
 use std::fmt;
 
+/// Delay sums per [`OpKind`], indexed by `kind as usize`: what
+/// [`ResourceSet::floor_of`] folds into the resource floor.
+pub type KindWork = [u64; OpKind::ALL.len()];
+
+/// Sums the delays of `g` per [`OpKind`].
+pub fn kind_work(g: &PrecedenceGraph) -> KindWork {
+    let mut work = [0; OpKind::ALL.len()];
+    for v in g.op_ids() {
+        work[g.kind(v) as usize] += g.delay(v);
+    }
+    work
+}
+
 /// A fixed allocation of functional-unit instances.
 ///
 /// Units are indexed `0..k()`. A *uniform* set (built by
@@ -102,18 +115,20 @@ impl ResourceSet {
     /// those units, so `⌈Σ delay / #units⌉` of every distinct set
     /// lower-bounds the length of any complete schedule. Wire-class
     /// operations and operations no unit can execute occupy no unit
-    /// and are skipped.
-    ///
-    /// A kind's unit set depends only on its class: a class with typed
-    /// units runs on those plus the universal ones, and every class
-    /// without typed units shares the universal units alone. So delays
-    /// are summed per [`OpKind`] and no per-op set is built —
-    /// `O(|V| + k)`, allocation-free.
+    /// and are skipped. `O(|V| + k)`, allocation-free: the
+    /// [`floor_of`](Self::floor_of) of [`kind_work`]`(g)`.
     pub fn work_floor(&self, g: &PrecedenceGraph) -> u64 {
-        let mut work = [0u64; OpKind::ALL.len()];
-        for v in g.op_ids() {
-            work[g.kind(v) as usize] += g.delay(v);
-        }
+        self.floor_of(&kind_work(g))
+    }
+
+    /// The resource floor of a graph whose per-kind delay sums are
+    /// `work` (see [`work_floor`](Self::work_floor)). A kind's unit set
+    /// depends only on its class: a class with typed units runs on
+    /// those plus the universal ones, and every class without typed
+    /// units shares the universal units alone. So the per-kind sums
+    /// determine the floor, and a caller that keeps them current as
+    /// the graph grows re-folds it in `O(k)`.
+    pub fn floor_of(&self, work: &KindWork) -> u64 {
         let universal = self.units.iter().filter(|u| u.is_none()).count() as u64;
         let mut floor = 0;
         let mut shared = 0;

@@ -55,11 +55,16 @@ pub enum Counter {
     LogEvents,
     /// Flight-recorder dumps written.
     FlightDumps,
+    /// Whole-graph refreshes of the scheduler's lower-bound caches
+    /// (static sink distances, projection, resource floor). Only delay
+    /// retyping takes one; graph growth updates the caches in place,
+    /// so a flow without φs counts none.
+    ProjRefreshes,
 }
 
 impl Counter {
     /// Number of counters (size of the backing array).
-    pub const COUNT: usize = Counter::FlightDumps as usize + 1;
+    pub const COUNT: usize = Counter::ProjRefreshes as usize + 1;
 
     /// All counters, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -82,6 +87,7 @@ impl Counter {
         Counter::EcoGrafts,
         Counter::LogEvents,
         Counter::FlightDumps,
+        Counter::ProjRefreshes,
     ];
 
     /// Stable snake_case name used in snapshots and STATS output.
@@ -106,6 +112,7 @@ impl Counter {
             Counter::EcoGrafts => "eco_grafts",
             Counter::LogEvents => "log_events",
             Counter::FlightDumps => "flight_dumps",
+            Counter::ProjRefreshes => "proj_refreshes",
         }
     }
 }
