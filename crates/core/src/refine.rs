@@ -7,7 +7,7 @@
 //! scheduling the new vertices into the existing partial order
 //! ([`insert_spill`], [`insert_wire_delay`]); a φ resolved to a
 //! register move is retyped in place
-//! ([`ThreadedScheduler::retype_op`]).
+//! ([`ThreadedScheduler::retype_ops`]).
 //!
 //! For comparison this module also implements the "trivial fix" the
 //! paper attributes to hard schedulers (Figures 1(c)/(d)): keep every

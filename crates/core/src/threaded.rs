@@ -57,7 +57,8 @@ use hls_ir::{
     ResourceSet,
 };
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 /// Missing-edge / missing-node sentinel in the flat edge and reach
@@ -263,6 +264,11 @@ struct Scratch {
     /// One node's effective reach row, copied out so the merge loop
     /// runs slice-to-slice (no re-reads through the strided table).
     row: Vec<u32>,
+    /// Growth's backward raise: `(pre-growth gdist, raised gdist, op)`,
+    /// popped lowest pre-growth value first, ties highest value first.
+    raise_heap: BinaryHeap<(Reverse<u64>, u64, u32)>,
+    /// Per op stamped in `op_seen`: its `gdist` before the growth step.
+    gdist_was: Vec<u64>,
 }
 
 /// Lazily maintained sink distances.
@@ -1234,22 +1240,15 @@ impl ThreadedScheduler {
         out
     }
 
-    /// Changes the kind and delay of an operation in place — the SSA φ
-    /// resolution of the paper's Section 1 (a φ becomes a register move
-    /// or a void operation only after register allocation). The state's
-    /// partial order is untouched; only the labels move.
+    /// Changes the kind and delay of each `(op, kind, delay)` in place —
+    /// the SSA φ resolution of the paper's Section 1 (a φ becomes a
+    /// register move or a void operation only after register
+    /// allocation). The state's partial order is untouched; only the
+    /// labels move, and the state is relabelled once for the whole
+    /// batch. An empty batch changes nothing.
     ///
-    /// The new kind must stay zero-resource (or match the thread the
+    /// Each new kind must stay zero-resource (or match the thread the
     /// operation already occupies); this is the caller's contract.
-    /// Retyping several operations is one [`retype_ops`](Self::retype_ops)
-    /// call, which pays the from-scratch relabel once.
-    pub fn retype_op(&mut self, v: OpId, kind: OpKind, delay: u64) {
-        self.retype_ops(&[(v, kind, delay)]);
-    }
-
-    /// [`retype_op`](Self::retype_op) for a batch of `(op, kind,
-    /// delay)` triples, relabelling the state once for all of them. An
-    /// empty batch changes nothing.
     pub fn retype_ops(&mut self, retypes: &[(OpId, OpKind, u64)]) {
         if retypes.is_empty() {
             return;
@@ -2112,38 +2111,73 @@ impl ThreadedScheduler {
     /// Gives the ops from id `old` on their static sink distance and
     /// raises the distances their addition lengthens, folding every
     /// raised *scheduled* op into `proj` (growth never lowers a
-    /// distance, so the running maximum stays exact). The new ops are
-    /// seeded in reverse id order — a spliced chain's later ops are
-    /// its successors — from their successors' current values, then a
-    /// backward relaxation from every new op goes through `preds` and
-    /// stops where a value does not rise: `O(cone)`, where the cone is
-    /// the set of ops whose distance changes.
+    /// distance, so the running maximum stays exact).
+    ///
+    /// The new ops are given their values in reverse id order — a
+    /// spliced chain's later ops are its successors — from their
+    /// successors, whose values the step cannot raise (an old
+    /// successor reaching a new op's predecessor would close a cycle).
+    /// The raise then runs backward through `preds` in topological
+    /// order, stopping where a value does not rise. The pre-growth
+    /// distances are that order: `gdist[p] >= gdist[s] + delay(p)` on
+    /// every edge, so a heap that pops the lowest of them first settles
+    /// each successor before its predecessors. Ties are zero-delay edges;
+    /// among them the larger current value goes first, which is final
+    /// because a zero-delay edge only passes a value on unchanged. So
+    /// every raised op is relaxed from exactly once, and an op is
+    /// pushed at most once per raised successor: `O(e log e)` for the
+    /// `e` edges into the raised cone, whatever the number of paths by
+    /// which a rise reaches an op. Counted as
+    /// [`hls_obs::Counter::GrowthRaises`].
     fn raise_gdist(&mut self, old: usize) {
+        let sc = &mut *self.scratch.borrow_mut();
+        self.prep_scratch(sc);
+        let (e, seen, heap) = (sc.epoch, &mut sc.op_seen, &mut sc.raise_heap);
+        let was = &mut sc.gdist_was;
         let core = Arc::make_mut(&mut self.core);
         let (g, gdist) = (&core.g, &mut core.gdist);
         gdist.resize(g.len(), 0);
-        let stack = &mut self.scratch.get_mut().stack;
-        stack.clear();
+        if was.len() < g.len() {
+            was.resize(g.len(), 0);
+        }
         for v in (old..g.len()).rev().map(OpId::from_index) {
             let tail = g.succs(v).iter().map(|q| gdist[q.index()]).max();
             gdist[v.index()] = tail.unwrap_or(0) + g.delay(v);
-            stack.push(v.index() as u32);
         }
-        while let Some(x) = stack.pop() {
-            let x = OpId::from_index(x as usize);
-            let dx = gdist[x.index()];
-            for &p in g.preds(x) {
-                let cand = dx + g.delay(p);
-                if cand > gdist[p.index()] {
-                    gdist[p.index()] = cand;
-                    if let Some(n) = self.node_of[p.index()] {
-                        let h = &self.nh[n as usize];
-                        self.proj = self.proj.max(h.sdist - h.delay + cand);
+        heap.clear();
+        let mut new_ops = old..g.len();
+        let mut raised = 0;
+        loop {
+            let x = match new_ops.next() {
+                Some(i) => i,
+                None => match heap.pop() {
+                    Some((_, dx, x)) if dx == gdist[x as usize] => {
+                        raised += 1;
+                        x as usize
                     }
-                    stack.push(p.index() as u32);
+                    Some(_) => continue, // superseded by a later raise
+                    None => break,
+                },
+            };
+            let dx = gdist[x];
+            for &p in g.preds(OpId::from_index(x)) {
+                let (pi, cand) = (p.index(), dx + g.delay(p));
+                if pi >= old || cand <= gdist[pi] {
+                    continue;
                 }
+                if seen[pi] != e {
+                    seen[pi] = e;
+                    was[pi] = gdist[pi];
+                }
+                gdist[pi] = cand;
+                if let Some(n) = self.node_of[pi] {
+                    let h = &self.nh[n as usize];
+                    self.proj = self.proj.max(h.sdist - h.delay + cand);
+                }
+                heap.push((Reverse(was[pi]), cand, pi as u32));
             }
         }
+        hls_obs::obs_count!(GrowthRaises, raised);
     }
 
     /// `true` if some op of `from` reaches (or is) some op of `to` in
@@ -2393,7 +2427,7 @@ mod tests {
 
     #[test]
     fn retyping_an_unscheduled_op_refreshes_the_bound_caches() {
-        // Regression: retype_op mutates the graph even when the op is
+        // Regression: retyping mutates the graph even when the op is
         // not yet in the state; the static bound terms must follow or
         // final_lower_bound stops being a lower bound.
         let mut g = PrecedenceGraph::new();
@@ -2401,7 +2435,7 @@ mod tests {
         let b = g.add_op(OpKind::Add, 1, "b");
         g.add_edge(a, b).unwrap();
         let mut ts = ThreadedScheduler::new(g, ResourceSet::classic(1, 1)).unwrap();
-        ts.retype_op(a, OpKind::Nop, 0); // before scheduling anything
+        ts.retype_ops(&[(a, OpKind::Nop, 0)]); // before scheduling anything
         ts.schedule_all([a, b]).unwrap();
         assert_eq!(ts.diameter(), 1);
         assert!(ts.final_lower_bound() <= ts.diameter());
@@ -2422,7 +2456,7 @@ mod tests {
         let mut ts = ThreadedScheduler::new(g, ResourceSet::uniform(1)).unwrap();
         ts.schedule_all([a, phi, b]).unwrap();
         assert_eq!(ts.diameter(), 2, "free phi costs nothing");
-        ts.retype_op(phi, OpKind::Move, 1);
+        ts.retype_ops(&[(phi, OpKind::Move, 1)]);
         assert_eq!(ts.graph().kind(phi), OpKind::Move);
         assert_eq!(ts.diameter(), 3, "the move now takes a step");
         ts.check_invariants().unwrap();
@@ -2430,7 +2464,7 @@ mod tests {
 
     #[test]
     fn cached_diameter_tracks_retyping_shrinkage() {
-        // retype_op may shrink delays; the cached running maximum must
+        // Retyping may shrink delays; the cached running maximum must
         // be recomputed, not kept.
         let mut g = PrecedenceGraph::new();
         let a = g.add_op(OpKind::Mul, 4, "a");
@@ -2439,7 +2473,7 @@ mod tests {
         let mut ts = ThreadedScheduler::new(g, ResourceSet::classic(1, 1)).unwrap();
         ts.schedule_all([a, b]).unwrap();
         assert_eq!(ts.diameter(), 5);
-        ts.retype_op(a, OpKind::Nop, 0);
+        ts.retype_ops(&[(a, OpKind::Nop, 0)]);
         assert_eq!(ts.diameter(), 1, "diameter must shrink with the delay");
         ts.check_invariants().unwrap();
     }

@@ -33,7 +33,7 @@ pub struct Compiled {
     /// `(name, value)` for every declared output.
     pub outputs: Vec<(String, Value)>,
     /// All φ operations inserted at joins (candidates for
-    /// `threaded_sched::ThreadedScheduler::retype_op`).
+    /// `threaded_sched::ThreadedScheduler::retype_ops`).
     pub phis: Vec<OpId>,
 }
 

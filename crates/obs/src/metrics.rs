@@ -60,11 +60,15 @@ pub enum Counter {
     /// retyping takes one; graph growth updates the caches in place,
     /// so a flow without φs counts none.
     ProjRefreshes,
+    /// Ops whose static sink distance a graph-growth step raised, each
+    /// counted once per step: the work of the in-place raise, which
+    /// relaxes from every raised op exactly once.
+    GrowthRaises,
 }
 
 impl Counter {
     /// Number of counters (size of the backing array).
-    pub const COUNT: usize = Counter::ProjRefreshes as usize + 1;
+    pub const COUNT: usize = Counter::GrowthRaises as usize + 1;
 
     /// All counters, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -88,6 +92,7 @@ impl Counter {
         Counter::LogEvents,
         Counter::FlightDumps,
         Counter::ProjRefreshes,
+        Counter::GrowthRaises,
     ];
 
     /// Stable snake_case name used in snapshots and STATS output.
@@ -113,6 +118,7 @@ impl Counter {
             Counter::LogEvents => "log_events",
             Counter::FlightDumps => "flight_dumps",
             Counter::ProjRefreshes => "proj_refreshes",
+            Counter::GrowthRaises => "growth_raises",
         }
     }
 }
