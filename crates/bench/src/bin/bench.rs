@@ -21,8 +21,8 @@ use hls_bench::mem::{self, CountingAlloc};
 use hls_bench::microbench::{bench_kernels, bench_probes, bench_select_commit, check_wall_100k};
 use hls_bench::portfolio::{fig3_portfolio, fig3_report};
 use hls_bench::portfolio::{sweep_report, thread_sweep};
+use hls_bench::serve_load;
 use hls_bench::{complexity, coupling, delay_sweep, fig1, fig3, meta_ablation, modulo, obj};
-use hls_bench::{parallel, serve_load};
 use hls_flow::{run_flow_degraded, FlowConfig};
 use hls_ir::{bench_graphs, generate, textfmt, Budget, ResourceSet};
 use hls_serve::{BindAddr, Client, RequestOpts, ServeConfig, Server};
@@ -45,14 +45,13 @@ artifact; --out overrides the default artifact path):
   portfolio                 BENCH_3.json  parallel portfolio quality + thread sweep
   modulo                    BENCH_4.json  achieved II vs certified MII
   serve                     BENCH_5.json  daemon load sweep + schedule cache
-  parallel [--graph SPEC]   BENCH_6.json  partition-parallel vs sequential to 1M ops
   micro [--check PATH]      BENCH_7.json  hot-path micro-benchmarks; --check PATH only
                                           gates the 100k-op wall against PATH
   obs                       obs-trace.json  traced run + STATS smoke";
 
 /// Subcommand, default artifact path (`None`: prints a table and takes
 /// no flags) and the one subcommand-specific flag.
-const SUBS: [(&str, Option<&str>, Option<&str>); 13] = [
+const SUBS: [(&str, Option<&str>, Option<&str>); 12] = [
     ("fig1", None, None),
     ("fig3", None, None),
     ("coupling", None, None),
@@ -63,7 +62,6 @@ const SUBS: [(&str, Option<&str>, Option<&str>); 13] = [
     ("portfolio", Some("BENCH_3.json"), None),
     ("modulo", Some("BENCH_4.json"), None),
     ("serve", Some("BENCH_5.json"), None),
-    ("parallel", Some("BENCH_6.json"), Some("--graph")),
     ("micro", Some("BENCH_7.json"), Some("--check")),
     ("obs", Some("obs-trace.json"), None),
 ];
@@ -75,7 +73,6 @@ struct Cli {
     out: String,
     sizes: Option<Vec<usize>>,
     check: Option<String>,
-    graph: Option<String>,
 }
 
 /// Parses `<sub> [flags]`; an unknown subcommand or flag, a flag the
@@ -107,7 +104,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         match flag.as_str() {
             "--out" => cli.out = value,
             "--check" => cli.check = Some(value),
-            "--graph" => cli.graph = Some(value),
             _ => {
                 let sizes: Result<_, _> = value.split(',').map(|s| s.trim().parse()).collect();
                 let err = |_| format!("--sizes takes integers, got '{value}'");
@@ -132,7 +128,6 @@ fn main() {
             Some(committed) => return wall_gate(committed),
             None => ("BENCH_7", micro(cli.quick)),
         },
-        "parallel" => return parallel(&cli),
         "obs" => return obs(&cli),
         sub => {
             println!("{}", table(sub));
@@ -450,52 +445,6 @@ fn serve(quick: bool) -> Json {
     }
 }
 
-/// BENCH_6: sequential vs partition-parallel up to 10⁶ ops on 8
-/// workers. Quick mode keeps the 10⁶-op parallel run but caps the
-/// sequential reference at 10⁵ ops; `--graph` appends one point for a
-/// workload resolved through `hls_ir::load`. Full runs assert ≥3× at
-/// 1M ops.
-fn parallel(cli: &Cli) {
-    const WORKERS: usize = 8;
-    let sizes = [20_000usize, 100_000, 300_000, 1_000_000];
-    let reference_max_ops = if cli.quick { 100_000 } else { usize::MAX };
-    let mut points = parallel::run_study(&sizes, WORKERS, reference_max_ops);
-    if let Some(spec) = &cli.graph {
-        match parallel::measure_spec(spec, WORKERS, true) {
-            Ok(p) => points.push(p),
-            Err(e) => {
-                eprintln!("--graph {spec}: {e}");
-                exit(2);
-            }
-        }
-    }
-
-    for p in &points {
-        let speedup = p.speedup().map_or("-".to_string(), |s| format!("{s:.2}x"));
-        println!(
-            "{:>12} ops {:>8} -> parallel {:>7} ms ({} blocks, {} cut), speedup {}",
-            p.name, p.ops, p.parallel_ms, p.blocks, p.cut_edges, speedup
-        );
-    }
-    write(&cli.out, &parallel::report(&points, WORKERS, cli.quick));
-
-    // The acceptance gate of the full run: the million-op point exists
-    // and the parallel engine beats sequential by at least 3x there.
-    if !cli.quick {
-        let million = points
-            .iter()
-            .find(|p| p.ops >= 1_000_000)
-            .expect("the sweep includes a 1M-op point");
-        let speedup = million
-            .speedup()
-            .expect("full runs measure sequential at 1M");
-        assert!(
-            speedup >= 3.0,
-            "1M-op speedup {speedup:.2}x below the 3x acceptance bar"
-        );
-    }
-}
-
 /// `micro --check PATH`: the 100k-op wall gate against the artifact
 /// at PATH; a regression exits 1.
 fn wall_gate(committed: &str) {
@@ -709,10 +658,6 @@ mod tests {
         assert_eq!(
             parse_line("micro --check B.json").unwrap().check.as_deref(),
             Some("B.json")
-        );
-        assert_eq!(
-            parse_line("parallel --graph ewf").unwrap().graph.as_deref(),
-            Some("ewf")
         );
         assert_eq!(parse_line("obs").unwrap().out, "obs-trace.json");
         assert_eq!(parse_line("fig1").unwrap().sub, "fig1");

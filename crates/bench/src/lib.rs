@@ -11,7 +11,7 @@
 //!   absorption: soft refinement vs hard patching vs rescheduling);
 //! * [`meta_ablation`] — sensitivity of the online-optimal scheduler to
 //!   the meta order;
-//! * [`portfolio`] — the parallel portfolio + feedback refinement study
+//! * [`portfolio`] — the parallel portfolio study
 //!   (BENCH_3): quality vs the best single meta, wall time vs thread
 //!   count under the early-abort protocol;
 //! * [`modulo`] — the loop-pipelining study (BENCH_4): achieved II vs
@@ -27,11 +27,6 @@
 //!   closed-loop probe measured,
 //!   shed-rate under overload, and the schedule-cache hit/ECO-replay
 //!   speedups;
-//! * [`parallel`] — the partition-parallel scaling study (BENCH_6):
-//!   balanced min-cut partition + per-block scheduling on worker
-//!   threads + linear seam stitch, vs the sequential engine up to 10⁶
-//!   ops, with the stitched-vs-sequential quality gap and the
-//!   certified lower bound.
 //!
 //! [`artifact`] is the one JSON writer every study's `BENCH_*.json`
 //! goes through. The `bench` binary runs each table, figure or study
@@ -48,7 +43,6 @@ pub mod mem;
 pub mod meta_ablation;
 pub mod microbench;
 pub mod modulo;
-pub mod parallel;
 pub mod portfolio;
 pub mod serve_load;
 

@@ -52,7 +52,6 @@
 pub mod exhaustive;
 pub mod meta;
 pub mod modulo;
-pub mod parallel;
 pub mod reference;
 pub mod refine;
 pub mod soft;
@@ -60,7 +59,6 @@ mod threaded;
 
 pub use exhaustive::ExhaustiveScheduler;
 pub use modulo::{ModuloOutcome, ModuloScheduler};
-pub use parallel::{ParallelConfig, ParallelRun, ParallelScheduler};
 pub use reference::ReferenceScheduler;
 pub use soft::{OnlineScheduler, StateSnapshot};
 pub use threaded::{Placement, RunOutcome, ThreadedScheduler};

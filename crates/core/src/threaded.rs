@@ -160,8 +160,7 @@ impl Iterator for Walk<'_> {
 /// while operations are merely scheduled, only under
 /// behavior-extending refinement (splice, add-op, retype). The
 /// scheduler holds it behind an [`Arc`] so clones
-/// (portfolio runs, parallel-stitch materialisation, serve-cache
-/// templates) share one copy; refinement goes through
+/// (portfolio runs, serve-cache templates) share one copy; refinement goes through
 /// [`Arc::make_mut`] copy-on-write.
 #[derive(Clone, Debug)]
 struct GraphCore {
@@ -299,8 +298,8 @@ struct TdistLazy {
 pub struct ThreadedScheduler {
     /// The immutable graph-side core — behavior graph, static sink
     /// distances — shared (`Arc`) across scheduler clones: a portfolio
-    /// of runs over one behavior, or the parallel scheduler's stitched
-    /// state, pays for the graph once. Refinement operations that *do*
+    /// of runs over one behavior, or a cached state the serve daemon
+    /// clones per request, pays for the graph once. Refinement operations that *do*
     /// extend the behavior (splice, add-op, retype) go through
     /// [`Arc::make_mut`] — copy-on-write, so divergent clones stay
     /// isolated while read-only clones stay free.

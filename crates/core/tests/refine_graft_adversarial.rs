@@ -6,14 +6,14 @@
 //! the scheduler op standing for target index `i`. These tests pin the
 //! contract at its edges: a resubmission that renumbers the whole base
 //! graph (shuffled map, operands included), an empty delta, a delta op
-//! landing on every partition boundary of a *parallel-materialized*
-//! state, malformed maps and operands, and budget expiry mid-graft.
+//! landing on every boundary between intervals of a finished state's
+//! topological order, malformed maps and operands, and budget expiry
+//! mid-graft.
 
-use hls_ir::{generate, schedule, Budget, OpId, OpKind, Operand, PrecedenceGraph, ResourceSet};
-use threaded_sched::{
-    meta::MetaSchedule, parallel::ParallelConfig, ParallelScheduler, SchedError,
-    ThreadedScheduler,
+use hls_ir::{
+    algo, generate, schedule, Budget, OpId, OpKind, Operand, PrecedenceGraph, ResourceSet,
 };
+use threaded_sched::{meta::MetaSchedule, SchedError, ThreadedScheduler};
 
 fn scheduled(g: &PrecedenceGraph, resources: &ResourceSet) -> ThreadedScheduler {
     let order = MetaSchedule::Topological.order(g, resources).unwrap();
@@ -149,39 +149,42 @@ fn shuffled_submitted_index_map_matches_identity() {
     assert!(again.is_empty());
 }
 
-/// A delta op on every partition boundary of a parallel-materialized
-/// state: for each ordered block pair with a cut edge between them,
-/// one representative seam edge gets a grafted op. The graft path must
-/// absorb work landing exactly on the stitch seams.
+/// A delta op on every interval boundary of a finished state: the
+/// topological order is cut into 8 intervals, and for each ordered
+/// interval pair with an edge crossing between them, one representative
+/// crossing edge gets a grafted op. The graft path must absorb work
+/// landing on many far-apart cones of a fully scheduled state.
 #[test]
-fn delta_on_every_partition_boundary() {
+fn delta_on_every_interval_boundary() {
+    const INTERVALS: usize = 8;
     let resources = ResourceSet::classic(2, 2);
     let g = generate::stress_dag(43, 1200);
-    let cfg = ParallelConfig { parts: 8, ..ParallelConfig::default() };
-    let ps = ParallelScheduler::new(g.clone(), resources.clone(), cfg).unwrap();
-    let run = ps.run().unwrap();
-    let part = ps.partition();
-    let mut cut: Vec<(hls_ir::OpId, hls_ir::OpId)> = Vec::new();
+    let mut interval = vec![0usize; g.len()];
+    for (pos, v) in algo::topo_order(&g).unwrap().into_iter().enumerate() {
+        interval[v.index()] = pos * INTERVALS / g.len();
+    }
+    let mut cut: Vec<(OpId, OpId)> = Vec::new();
     let mut covered = std::collections::BTreeSet::new();
-    for (u, v) in part.cut_edges(&g) {
-        if covered.insert((part.part_of(u), part.part_of(v))) {
+    for (u, v) in g.edges() {
+        let pair = (interval[u.index()], interval[v.index()]);
+        if pair.0 != pair.1 && covered.insert(pair) {
             cut.push((u, v));
         }
     }
-    assert!(!cut.is_empty());
+    assert!(cut.len() >= INTERVALS - 1, "the grafts spread across the whole order");
 
     let mut target = g.clone();
     for (i, &(u, v)) in cut.iter().enumerate() {
-        let d = target.add_op(OpKind::Add, 1, format!("seam{i}"));
+        let d = target.add_op(OpKind::Add, 1, format!("cross{i}"));
         target.add_edge(u, d).unwrap();
         target.add_edge(d, v).unwrap();
     }
 
-    let mut ts = ps.materialize(&run).unwrap();
+    let mut ts = scheduled(&g, &resources);
     let before = ts.diameter();
     let mut map = identity_map(g.len());
     let added = ts.refine_graft(&target, &mut map, &Budget::NONE).unwrap();
-    assert_eq!(added.len(), cut.len(), "one grafted op per cut edge");
+    assert_eq!(added.len(), cut.len(), "one grafted op per boundary");
     assert_eq!(map.len(), target.len());
     assert!(ts.diameter() >= before, "grafting only adds work");
     ts.check_invariants().unwrap();

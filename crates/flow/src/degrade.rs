@@ -39,7 +39,7 @@ use threaded_sched::{meta::MetaSchedule, SchedError};
 /// One rung of the degradation ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DegradeRung {
-    /// Parallel portfolio + feedback refinement (the full engine).
+    /// The parallel portfolio race (the full engine).
     Portfolio,
     /// The configured single-meta engine.
     SingleMeta,

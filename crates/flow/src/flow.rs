@@ -18,7 +18,7 @@ pub enum Engine {
     /// One meta order feeds Algorithm 1, stopping within one commit of
     /// [`FlowConfig::budget`]'s expiry.
     Meta(MetaSchedule),
-    /// The parallel portfolio + feedback refinement
+    /// The parallel portfolio race
     /// ([`hls_search::run_portfolio`]), deterministic whatever its
     /// thread count, under [`FlowConfig::budget`].
     Portfolio(hls_search::PortfolioConfig),

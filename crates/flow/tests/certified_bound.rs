@@ -6,7 +6,6 @@
 //!   exact compatible-unit set, `⌈Σ delay / #units⌉` per group.
 //! * `res_mii` is that floor folded with the largest resource-op
 //!   delay.
-//! * `ParallelRun::lower_bound` is `schedule_lower_bound()`.
 //! * The ladder's bound-only rung reports `schedule_lower_bound()` of
 //!   the graph (of the kernel DAG for loops).
 //!
@@ -20,7 +19,7 @@ use std::collections::BTreeMap;
 use hls_flow::{run_flow_degraded, DegradeRung, FlowConfig, FlowError};
 use hls_ir::{bench_graphs, Budget, OpKind, PrecedenceGraph, ResourceClass, ResourceSet};
 use proptest::prelude::*;
-use threaded_sched::{modulo::res_mii, ParallelConfig, ParallelScheduler, ThreadedScheduler};
+use threaded_sched::{modulo::res_mii, ThreadedScheduler};
 
 /// A DAG of `n` ops of any kind with delays 0–3, edges `i → j`
 /// (`i < j`) kept with probability 1/8, all drawn from `seed`.
@@ -104,21 +103,6 @@ proptest! {
         let bound = certified(&g, &r);
         prop_assert_eq!(bound, floor.max(hls_ir::algo::diameter(&g)));
         prop_assert_eq!(r.lower_bound(&g), bound);
-
-        // The parallel engine needs a unit for every resource op.
-        let schedulable = g.op_ids().all(|v| {
-            let kind = g.kind(v);
-            kind.resource_class() == ResourceClass::Wire || !r.compatible_units(kind).is_empty()
-        });
-        if schedulable {
-            let cfg = ParallelConfig { workers: 2, ..ParallelConfig::default() };
-            let run = ParallelScheduler::new(g.clone(), r.clone(), cfg)
-                .unwrap()
-                .run()
-                .unwrap();
-            prop_assert_eq!(run.lower_bound, bound);
-            prop_assert!(run.lower_bound <= run.diameter);
-        }
     }
 }
 

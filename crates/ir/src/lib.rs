@@ -8,8 +8,8 @@
 //! * typed operations ([`OpKind`]) and resource classes ([`ResourceClass`]),
 //! * the classical HLS delay model ([`DelayModel`]),
 //! * graph algorithms used throughout the scheduler stack — topological
-//!   orders, source/sink distances, diameter, critical paths, longest-path
-//!   partitions, transitive closure ([`algo`], [`BitMatrix`]) and the
+//!   orders, source/sink distances, diameter, critical paths, the
+//!   longest-path cover of the path-based meta order, transitive closure ([`algo`], [`BitMatrix`]) and the
 //!   sub-quadratic chain-cover reachability index ([`reach`]), a
 //!   reachability oracle and tooling surface (the scheduler keeps no
 //!   index),
@@ -47,7 +47,6 @@ pub mod generate;
 pub mod load;
 mod graph;
 mod op;
-pub mod partition;
 pub mod reach;
 mod resources;
 pub mod schedule;
@@ -57,7 +56,6 @@ pub mod textfmt;
 pub use bitmatrix::BitMatrix;
 pub use budget::Budget;
 pub use graph::{DistEdgeIter, EdgeIter, OpId, OpIdIter, Operand, PrecedenceGraph};
-pub use partition::{Partition, PartitionConfig};
 pub use reach::{CapacityError, ReachIndex};
 pub use op::{DelayModel, OpKind, ResourceClass};
 pub use resources::{kind_work, KindWork, ResourceSet};

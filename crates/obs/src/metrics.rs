@@ -135,8 +135,6 @@ pub enum Hist {
     PortfolioRunUs,
     /// The modulo (II search) portfolio.
     ModuloRaceUs,
-    /// The parallel seam stitch.
-    ParallelStitchUs,
     /// One degradation-ladder rung attempt.
     DegradeRungUs,
     /// An ECO graft fast path.
@@ -153,7 +151,6 @@ impl Hist {
         Hist::PortfolioRaceUs,
         Hist::PortfolioRunUs,
         Hist::ModuloRaceUs,
-        Hist::ParallelStitchUs,
         Hist::DegradeRungUs,
         Hist::EcoGraftUs,
     ];
@@ -165,7 +162,6 @@ impl Hist {
             Hist::PortfolioRaceUs => "portfolio_race_us",
             Hist::PortfolioRunUs => "portfolio_run_us",
             Hist::ModuloRaceUs => "modulo_race_us",
-            Hist::ParallelStitchUs => "parallel_stitch_us",
             Hist::DegradeRungUs => "degrade_rung_us",
             Hist::EcoGraftUs => "eco_graft_us",
         }

@@ -46,29 +46,21 @@ pub enum Phase {
     ModuloRace = 7,
     /// One candidate (II, meta) modulo run.
     ModuloCandidate = 8,
-    /// Multilevel min-cut partitioning.
-    ParallelPartition = 9,
-    /// Per-block scheduling on the worker pool.
-    ParallelBlocks = 10,
-    /// The seam stitch.
-    ParallelStitch = 11,
-    /// Materialisation back into a live engine.
-    ParallelMaterialize = 12,
     /// One degradation-ladder rung attempt.
-    DegradeRung = 13,
+    DegradeRung = 9,
     /// One served request, admission to answer.
-    ServeRequest = 14,
+    ServeRequest = 10,
     /// An ECO delta graft on a cached base.
-    EcoGraft = 15,
+    EcoGraft = 11,
     /// Daemon lifecycle (boot, drain, shutdown).
-    ServeLifecycle = 16,
+    ServeLifecycle = 12,
     /// Writing one response line to its client (write + flush).
-    ServeRespond = 17,
+    ServeRespond = 13,
 }
 
 impl Phase {
     /// Every phase, for exporters.
-    pub const ALL: [Phase; 18] = [
+    pub const ALL: [Phase; 14] = [
         Phase::FlowSchedule,
         Phase::FlowSpill,
         Phase::FlowPhi,
@@ -78,10 +70,6 @@ impl Phase {
         Phase::PortfolioRun,
         Phase::ModuloRace,
         Phase::ModuloCandidate,
-        Phase::ParallelPartition,
-        Phase::ParallelBlocks,
-        Phase::ParallelStitch,
-        Phase::ParallelMaterialize,
         Phase::DegradeRung,
         Phase::ServeRequest,
         Phase::EcoGraft,
@@ -101,10 +89,6 @@ impl Phase {
             Phase::PortfolioRun => "portfolio:run",
             Phase::ModuloRace => "modulo:race",
             Phase::ModuloCandidate => "modulo:candidate",
-            Phase::ParallelPartition => "parallel:partition",
-            Phase::ParallelBlocks => "parallel:blocks",
-            Phase::ParallelStitch => "parallel:stitch",
-            Phase::ParallelMaterialize => "parallel:materialize",
             Phase::DegradeRung => "degrade:rung",
             Phase::ServeRequest => "serve:request",
             Phase::EcoGraft => "serve:eco-graft",
@@ -123,10 +107,6 @@ impl Phase {
             | Phase::FlowExtract => "flow",
             Phase::PortfolioRace | Phase::PortfolioRun => "portfolio",
             Phase::ModuloRace | Phase::ModuloCandidate => "modulo",
-            Phase::ParallelPartition
-            | Phase::ParallelBlocks
-            | Phase::ParallelStitch
-            | Phase::ParallelMaterialize => "parallel",
             Phase::DegradeRung => "degrade",
             Phase::ServeRequest
             | Phase::EcoGraft
@@ -144,7 +124,6 @@ impl Phase {
             Phase::PortfolioRace => Some(Hist::PortfolioRaceUs),
             Phase::PortfolioRun => Some(Hist::PortfolioRunUs),
             Phase::ModuloRace => Some(Hist::ModuloRaceUs),
-            Phase::ParallelStitch => Some(Hist::ParallelStitchUs),
             Phase::DegradeRung => Some(Hist::DegradeRungUs),
             Phase::EcoGraft => Some(Hist::EcoGraftUs),
             _ => None,
